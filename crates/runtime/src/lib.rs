@@ -93,14 +93,14 @@ use coruscant_racetrack::{Cost, CostMeter};
 use deps::{DepTracker, GatedJob, GatedSource, Released};
 use events::{Event, EventTrace};
 use health::Transition;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use supervise::{Down, DownCause, Supervisor};
+use supervise::{DownCause, Supervisor};
 
 /// Errors surfaced by the runtime.
 #[derive(Debug)]
@@ -237,9 +237,13 @@ impl BatchOptions {
 /// Which scheduling engine drives the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
-    /// The single scheduler thread + worker shards pipeline. This is the
-    /// determinism baseline: with batching off and no faults, reports
-    /// are bit-identical across runs and shard counts.
+    /// One scheduler thread (`classic_loop`) feeding worker shards
+    /// over channels, with ack-driven dependency release, bank health,
+    /// and shard recovery. This is the determinism baseline: in a
+    /// session that is not resilient (no fault plan, protection,
+    /// watchdog, or active chaos plan) issue is ungated, so with
+    /// batching off reports are bit-identical across runs and shard
+    /// counts.
     #[default]
     Classic,
     /// Sharded scheduling with merged accounting: each of `shards` fused
@@ -275,9 +279,11 @@ pub struct RuntimeOptions {
     pub trace_path: Option<PathBuf>,
     /// Per-job corruption detection (re-execute-and-compare or NMR).
     pub protection: ProtectionPolicy,
-    /// Bank health thresholds and recovery actions. Only consulted when
-    /// the fault-aware scheduler runs (a fault plan or an active
-    /// protection policy is configured).
+    /// Bank health thresholds and recovery actions. Only consulted in
+    /// resilient sessions (a fault plan, an active protection policy,
+    /// the watchdog, or an active chaos plan): there acks feed bank
+    /// health and [`HealthPolicy::max_inflight_per_bank`] gates issue.
+    /// Every other session issues ungated.
     pub health: HealthPolicy,
     /// When set, every worker machine materializes its DBCs with the
     /// plan's seeded per-bank fault injectors.
@@ -303,13 +309,14 @@ pub struct RuntimeOptions {
     /// and the hard drain deadline [`Runtime::finish`] honors.
     pub supervise: SuperviseOptions,
     /// Execution watchdog: per-attempt wall-clock budgets, hung-attempt
-    /// classification, and the poison-job quarantine. Enabling it routes
-    /// scheduling through the resilient (ack-polling) loop.
+    /// classification, and the poison-job quarantine. Enabling it makes
+    /// the session resilient (see [`RuntimeOptions::health`]) and keeps
+    /// the scheduler polling so hung attempts are scanned.
     pub watchdog: WatchdogOptions,
     /// Seeded software-fault injection (worker panics, stalls, delays at
-    /// named crossing points). An active plan routes scheduling through
-    /// the resilient loop; `None` (or a quiet plan) leaves the
-    /// deterministic path untouched.
+    /// named crossing points). An active plan makes the session
+    /// resilient (see [`RuntimeOptions::health`]); `None` (or a quiet
+    /// plan) leaves the deterministic path untouched.
     pub chaos: Option<ChaosPlan>,
     /// Which scheduling engine runs the session (see [`SchedMode`]).
     /// Classic by default.
@@ -452,7 +459,8 @@ impl RuntimeOptions {
         self
     }
 
-    /// Whether these options activate the fault-aware scheduler.
+    /// Whether these options configure device-fault handling: a fault
+    /// plan or an active protection policy.
     pub fn fault_aware(&self) -> bool {
         self.faults.is_some() || self.protection.is_active()
     }
@@ -462,9 +470,10 @@ impl RuntimeOptions {
         self.chaos.filter(ChaosPlan::is_active)
     }
 
-    /// Whether these options route scheduling through the resilient
-    /// (ack-polling) loop: device-fault awareness, an active chaos plan,
-    /// or the watchdog all require interleaved ack processing.
+    /// Whether the classic scheduler tracks bank health and caps
+    /// in-flight dispatches per bank: device-fault awareness, an active
+    /// chaos plan, or the watchdog. Only these sessions let issue order
+    /// depend on ack timing.
     fn resilient(&self) -> bool {
         self.fault_aware() || self.active_chaos().is_some() || self.watchdog.enabled
     }
@@ -480,11 +489,7 @@ struct SlotMeta {
     attempt: u32,
 }
 
-/// What the scheduler sends each worker. Cloneable so the plain
-/// scheduler can keep a copy of every outstanding dispatch and re-send
-/// it verbatim to a restarted shard (programs are shared by `Arc`, so a
-/// clone is cheap).
-#[derive(Clone)]
+/// What the scheduler sends each worker.
 enum WorkMsg {
     /// Execute one dispatch: a single job's program, or a batched splice
     /// of several same-unit jobs. `slots` demuxes the outputs per job.
@@ -515,9 +520,9 @@ struct DoneMsg {
 }
 
 /// What a worker reports back to the scheduler after every dispatch:
-/// the fault-aware loop uses it for health accounting and re-dispatch;
-/// both loops use the per-member outputs to resolve dependency gates
-/// and feed deferred binders.
+/// the in-flight cap, health accounting, and re-dispatch key on it, and
+/// the per-member outputs resolve dependency gates and feed deferred
+/// binders.
 enum AckMsg {
     /// Heartbeat: the worker dequeued dispatch `seq` and is about to
     /// execute it. Sent only when the watchdog is enabled; it stamps the
@@ -542,8 +547,8 @@ enum AckMsg {
     /// Terminal: the worker caught a panic and is exiting. `generation`
     /// guards against late reports from already-replaced incarnations;
     /// `panicked_seq` is the dispatch that was executing when the panic
-    /// hit (its attempt died; queued dispatches are re-sent from the
-    /// scheduler's own outstanding records, never from the worker).
+    /// hit (its attempt died; queued dispatches are re-placed from the
+    /// scheduler's own in-flight records, never from the worker).
     ShardDown {
         shard: usize,
         generation: u64,
@@ -671,6 +676,7 @@ struct SchedProfile {
 }
 
 /// What the scheduler thread hands back on shutdown.
+#[derive(Default)]
 struct SchedulerOutput {
     depth_hist: Histogram,
     issued: u64,
@@ -703,47 +709,6 @@ struct SchedulerOutput {
     /// Scheduler-occupancy counters (stage busy CPU micros, per-shard
     /// issue counts).
     profile: SchedProfile,
-}
-
-impl SchedulerOutput {
-    #[allow(clippy::too_many_arguments)]
-    fn plain(
-        depth_hist: Histogram,
-        issued: u64,
-        batches: u64,
-        batched_jobs: u64,
-        splice: (u64, u64),
-        dropped: (u64, u64),
-        pipeline: (u64, u64, u64, u64),
-        supervision: SupervisionStats,
-        lost: Vec<u64>,
-        profile: SchedProfile,
-    ) -> SchedulerOutput {
-        SchedulerOutput {
-            depth_hist,
-            issued,
-            batches,
-            batched_jobs,
-            splice_hits: splice.0,
-            splice_misses: splice.1,
-            cancelled: dropped.0,
-            expired: dropped.1,
-            redispatches: 0,
-            scrubs: 0,
-            scrub_total: ScrubOutcome::default(),
-            suspect_banks: 0,
-            quarantined_banks: 0,
-            degraded_capacity: 0.0,
-            deferred: pipeline.0,
-            released: pipeline.1,
-            cascaded: pipeline.2,
-            pins: pipeline.3,
-            remats: 0,
-            supervision,
-            lost,
-            profile,
-        }
-    }
 }
 
 /// What either scheduling engine hands `finish` once fully drained:
@@ -1362,7 +1327,7 @@ impl Domain {
             .map(|j| SlotMeta {
                 job_id: j.id,
                 readouts: count_readouts(&j.program),
-                // Same attempt axis as the classic fault scheduler:
+                // Same attempt axis as the classic scheduler:
                 // verification re-dispatches plus crash re-placements.
                 attempt: self.redispatched.get(&j.id).copied().unwrap_or(0)
                     + self.crash_retries.get(&j.id).copied().unwrap_or(0),
@@ -1641,9 +1606,9 @@ impl Runtime {
             Box::new(move |shard, generation| {
                 let (tx, rx) = mpsc::channel::<WorkMsg>();
                 let done = done_tx.clone();
-                // Acks are always on: the fault-aware loop needs them for
-                // health accounting, and both loops need the per-member
-                // outputs to resolve dependency gates.
+                // Acks are always on: the scheduler needs them for its
+                // in-flight records, health accounting, and to resolve
+                // dependency gates from the per-member outputs.
                 let ack = ack_tx.clone();
                 let cfg = cfg.clone();
                 let faults = faults.clone();
@@ -1657,7 +1622,7 @@ impl Runtime {
                         protection,
                         &rx,
                         &done,
-                        Some(&ack),
+                        &ack,
                         notify.as_ref(),
                         max_redispatch,
                         WorkerCtx {
@@ -1696,43 +1661,27 @@ impl Runtime {
             let poison = poison.clone();
             std::thread::spawn(move || {
                 gate.wait_open();
-                if resilient {
-                    fault_scheduler_loop(
-                        &cfg,
-                        &queue,
-                        &supervisor,
-                        shards,
-                        &ack_rx,
-                        dispatch,
-                        protection,
-                        policy,
-                        trace,
-                        batch,
-                        compile,
-                        canceller,
-                        &next_id,
-                        supervise_opts,
-                        watchdog,
-                        chaos,
-                        poison,
-                        issue_policy,
-                    )
-                } else {
-                    scheduler_loop(
-                        &cfg,
-                        &queue,
-                        &supervisor,
-                        shards,
-                        &ack_rx,
-                        dispatch,
-                        trace,
-                        batch,
-                        compile,
-                        canceller,
-                        supervise_opts,
-                        issue_policy,
-                    )
-                }
+                classic_loop(
+                    &cfg,
+                    &queue,
+                    &supervisor,
+                    shards,
+                    &ack_rx,
+                    dispatch,
+                    protection,
+                    policy,
+                    resilient,
+                    trace,
+                    batch,
+                    compile,
+                    canceller,
+                    &next_id,
+                    supervise_opts,
+                    watchdog,
+                    chaos,
+                    poison,
+                    issue_policy,
+                )
             })
         };
 
@@ -2308,9 +2257,8 @@ impl Runtime {
 
         let supervisor = self.supervisor.take().expect("classic mode");
         // Stop supervision: drop the factory and every live sender so
-        // workers drain their channels and exit. Dispatches still
-        // buffered for down shards are already in `sched_out.lost`.
-        drop(supervisor.close());
+        // workers drain their channels and exit.
+        supervisor.close();
         let lost: HashSet<u64> = sched_out.lost.iter().copied().collect();
         let done_rx = self
             .done_rx
@@ -2436,18 +2384,7 @@ impl Runtime {
         // plain sort restores one globally consistent issue order.
         completions.sort_by_key(|c| c.seq);
 
-        let mut sched_out = SchedulerOutput::plain(
-            Histogram::new(),
-            0,
-            0,
-            0,
-            (0, 0),
-            (0, 0),
-            (0, 0, 0, 0),
-            SupervisionStats::default(),
-            Vec::new(),
-            SchedProfile::default(),
-        );
+        let mut sched_out = SchedulerOutput::default();
         let mut supervision = SupervisionStats::default();
         let mut per_domain: Vec<DomainStats> = Vec::with_capacity(outs.len());
         let (mut busy_max, mut wall_max) = (0u64, 0u64);
@@ -2761,509 +2698,10 @@ fn batch_program_cached(
     batch_program(jobs, compiler)
 }
 
-/// The plain scheduler's minimal supervision state: outstanding
-/// dispatches (kept cloneable for verbatim re-send to a restarted
-/// shard), per-seq crash retries, and lost-seq accounting.
-#[derive(Default)]
-struct PlainRecovery {
-    /// `seq` → (shard, dispatch copy, member job ids).
-    outstanding: HashMap<u64, (usize, WorkMsg, Vec<u64>)>,
-    /// Crash retries per outstanding seq.
-    crash_retries: HashMap<u64, u32>,
-    /// Seqs that will never complete (abandoned dispatches).
-    lost: Vec<u64>,
-    /// Scheduler-side supervision counters.
-    sup: SupervisionStats,
-}
-
-/// Processes one worker acknowledgement in the plain scheduler:
-/// completions resolve dependency gates; a shard-down report re-sends
-/// the shard's outstanding dispatches verbatim (the supervisor buffers
-/// them until the replacement worker is up), abandoning the crashed
-/// attempt once its retry budget is spent.
-#[allow(clippy::too_many_arguments)]
-fn plain_handle_ack(
-    ack: AckMsg,
-    rec: &mut PlainRecovery,
-    supervisor: &Supervisor<WorkMsg>,
-    opts: &SuperviseOptions,
-    trace: &Option<Arc<EventTrace>>,
-    canceller: &mut Canceller,
-    deps: &mut DepTracker,
-    ready: &mut std::collections::VecDeque<PimJob>,
-) {
-    let abandon = |rec: &mut PlainRecovery,
-                   canceller: &mut Canceller,
-                   deps: &mut DepTracker,
-                   ready: &mut std::collections::VecDeque<PimJob>,
-                   seq: u64| {
-        let Some((_, _, ids)) = rec.outstanding.remove(&seq) else {
-            return;
-        };
-        rec.crash_retries.remove(&seq);
-        rec.lost.push(seq);
-        for id in ids {
-            rec.sup.abandoned_jobs += 1;
-            if let Some(tx) = &canceller.notify {
-                let _ = tx.send(JobNotice::Abandoned {
-                    job_id: id,
-                    hung: false,
-                });
-            }
-            let rel = deps.on_final(id, true, Vec::new());
-            for fid in rel.failed {
-                canceller.drop_cascaded(fid);
-            }
-            ready.extend(rel.ready);
-        }
-    };
-    match ack {
-        AckMsg::Started { .. } | AckMsg::Scrub { .. } => {}
-        AckMsg::Job {
-            seq,
-            errored,
-            members,
-            ..
-        } => {
-            if rec.outstanding.remove(&seq).is_none() {
-                rec.sup.stale_acks += 1;
-                return;
-            }
-            rec.crash_retries.remove(&seq);
-            for (id, outputs) in members {
-                let rel = deps.on_final(id, errored, outputs);
-                for fid in rel.failed {
-                    canceller.drop_cascaded(fid);
-                }
-                ready.extend(rel.ready);
-            }
-        }
-        AckMsg::ShardDown {
-            shard,
-            generation,
-            panicked_seq,
-        } => {
-            let down = supervisor.mark_down(shard, generation, DownCause::Panic);
-            if matches!(down, Down::Stale) {
-                return;
-            }
-            let retired = matches!(down, Down::Retired(_));
-            if let Some(trace) = trace {
-                trace.record(&Event::ShardDown { shard, hung: false });
-            }
-            let mut seqs: Vec<u64> = rec
-                .outstanding
-                .iter()
-                .filter(|(_, (s, _, _))| *s == shard)
-                .map(|(&seq, _)| seq)
-                .collect();
-            seqs.sort_unstable();
-            for seq in seqs {
-                if retired {
-                    // No replacement is coming; everything the shard
-                    // still owed is lost.
-                    abandon(rec, canceller, deps, ready, seq);
-                    continue;
-                }
-                if Some(seq) == panicked_seq {
-                    let retries = rec.crash_retries.entry(seq).or_insert(0);
-                    if *retries >= opts.max_job_retries {
-                        abandon(rec, canceller, deps, ready, seq);
-                        continue;
-                    }
-                    *retries += 1;
-                }
-                let (_, msg, ids) = &rec.outstanding[&seq];
-                rec.sup.crash_redispatches += ids.len() as u64;
-                supervisor.send(shard, msg.clone());
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scheduler_loop(
-    config: &MemoryConfig,
-    queue: &JobQueue<Submission>,
-    supervisor: &Supervisor<WorkMsg>,
-    shards: usize,
-    ack_rx: &mpsc::Receiver<AckMsg>,
-    dispatch: DispatchMode,
-    trace: Option<Arc<EventTrace>>,
-    batch_opts: BatchOptions,
-    compile: CompileOptions,
-    mut canceller: Canceller,
-    supervise_opts: SuperviseOptions,
-    issue_policy: IssuePolicy,
-) -> SchedulerOutput {
-    // A controller used only for PIM-unit geometry (bank-major indexing).
-    let units = MemoryController::new(config.clone());
-    let unit_count = units.pim_unit_count();
-    // The scheduler's own compiler optimizes *across* spliced program
-    // boundaries; per-job optimization already happened at submit.
-    let compiler = Compiler::new(config.clone(), &compile);
-    let max_jobs = batch_opts.cap();
-    let grouping = batch_opts.grouping;
-    let mut splice_cache = batch_opts.splice_cache();
-    let mut sched = BankScheduler::new(config.banks).with_policy(issue_policy);
-    let mut place_cursor = 0usize;
-    let mut issued = 0u64;
-    let mut batches = 0u64;
-    let mut batched_jobs = 0u64;
-    let mut pins = 0u64;
-    // Jobs dropped for an unknown residency (counted with the cascades).
-    let mut dropped = 0u64;
-    let mut deps = DepTracker::new();
-    let mut residents: HashMap<u64, (DbcLocation, Arc<PimProgram>)> = HashMap::new();
-    // Dispatches sent whose ack has not been processed yet, kept
-    // verbatim so a crashed shard's queue can be re-sent.
-    let mut rec = PlainRecovery::default();
-    // Armed once supervision has something to drain against a deadline.
-    let mut drain_deadline: Option<Instant> = None;
-    let mut closed = false;
-    let mut drained: Vec<Submission> = Vec::new();
-    // Jobs cleared for placement (admitted or released by a retirement).
-    let mut ready: std::collections::VecDeque<PimJob> = std::collections::VecDeque::new();
-    // Occupancy profile: stage busy times in thread-CPU micros (waits
-    // cost ~0 CPU, so blocked pops charge nothing) plus per-shard issue
-    // counts. Termination-block CPU rides into the next pop lap.
-    let mut profile = SchedProfile {
-        per_shard_issued: vec![0; shards],
-        per_shard_jobs: vec![0; shards],
-        ..SchedProfile::default()
-    };
-    let wall_start = Instant::now();
-    let mut clock = cputime::StageClock::start();
-    // Kick-counter snapshot for event-driven pops: workers kick the
-    // queue after every ack, and a pop observing a kick newer than this
-    // snapshot returns immediately instead of riding out its timeout.
-    let mut seen_kicks = queue.kicks();
-
-    loop {
-        // 1. Pull newly submitted work. The pop is bounded (never an
-        //    unbounded block) so shard-down acks are always noticed, and
-        //    kick-aware: a push or a worker ack arriving mid-wait wakes
-        //    it immediately, so the 50ms ceiling is only ever ridden out
-        //    when the session is truly idle.
-        if !closed {
-            match queue.pop_kicked(Duration::from_millis(50), seen_kicks) {
-                Pop::Item(first) => {
-                    drained.push(first);
-                    queue.drain_ready(&mut drained);
-                }
-                Pop::Timeout => {}
-                Pop::Closed => closed = true,
-            }
-        }
-        profile.pop_micros += clock.lap();
-
-        // 2. Admit submissions: independent jobs go straight to the
-        //    ready list, chains through the dependency tracker, pins
-        //    register their residency before their load job places.
-        for submission in drained.drain(..) {
-            match submission {
-                Submission::Job(job) => ready.push_back(job),
-                Submission::Chain(chain) => {
-                    let rel = deps.admit(chain);
-                    for id in rel.failed {
-                        canceller.drop_cascaded(id);
-                    }
-                    ready.extend(rel.ready);
-                }
-                Submission::Pin { res, unit_idx, job } => {
-                    let unit = units.pim_unit(unit_idx % unit_count);
-                    residents.insert(res, (unit, Arc::clone(&job.program)));
-                    pins += 1;
-                    if let Some(trace) = &trace {
-                        trace.record(&Event::ResidentPinned {
-                            res,
-                            job: job.id,
-                            bank: unit.bank,
-                        });
-                    }
-                    ready.push_back(job);
-                }
-            }
-        }
-        profile.admit_micros += clock.lap();
-
-        // 3. Drain worker acks. The plain loop never re-dispatches for
-        //    verification, so every job ack is a final attempt and
-        //    resolves gates; shard-down acks trigger minimal recovery.
-        //    Snapshot the kick counter first: any ack (and kick) landing
-        //    after this line wakes the next pop early — snapshot-then-
-        //    drain can never lose a wakeup.
-        seen_kicks = queue.kicks();
-        while let Ok(ack) = ack_rx.try_recv() {
-            plain_handle_ack(
-                ack,
-                &mut rec,
-                supervisor,
-                &supervise_opts,
-                &trace,
-                &mut canceller,
-                &mut deps,
-                &mut ready,
-            );
-        }
-        // Bring replacement workers up (cheap: gated on a caught panic).
-        if supervisor.counters().0 > 0 {
-            for ev in supervisor.poll_restarts() {
-                if let Some(trace) = &trace {
-                    trace.record(&Event::ShardRestart {
-                        shard: ev.shard,
-                        restarts: ev.restarts,
-                    });
-                }
-            }
-        }
-        profile.ack_micros += clock.lap();
-
-        // 4+5. Place and issue until nothing new is released (dropping a
-        //      cancelled job can cascade and release more work).
-        loop {
-            // Resolve placement and enqueue into the per-bank FIFOs,
-            // dropping jobs cancelled while they waited.
-            while let Some(job) = ready.pop_front() {
-                if canceller.armed() && canceller.drop_if_cancelled(job.id) {
-                    let rel = deps.on_final(job.id, true, Vec::new());
-                    for fid in rel.failed {
-                        canceller.drop_cascaded(fid);
-                    }
-                    ready.extend(rel.ready);
-                    continue;
-                }
-                let (unit, program) = match job.placement {
-                    Placement::Auto => {
-                        let unit = match dispatch {
-                            DispatchMode::Circular => {
-                                // Bank-major unit indexing: consecutive
-                                // jobs land on consecutive banks (§V-C).
-                                let u = units.pim_unit(place_cursor % unit_count);
-                                place_cursor += 1;
-                                u
-                            }
-                            DispatchMode::SingleBank => units.pim_unit(0),
-                        };
-                        (unit, Arc::new(job.program.retarget(unit)))
-                    }
-                    Placement::Unit(idx) => {
-                        let unit = units.pim_unit(idx % unit_count);
-                        (unit, Arc::new(job.program.retarget(unit)))
-                    }
-                    Placement::Fixed(loc) => (loc, Arc::new(job.program.retarget(loc))),
-                    Placement::Resident(res) => match residents.get(&res) {
-                        Some((unit, _)) => (*unit, Arc::new(relocate_to_tile(&job.program, *unit))),
-                        None => {
-                            // Unknown residency: the job can never run.
-                            dropped += 1;
-                            canceller.drop_cascaded(job.id);
-                            let rel = deps.on_final(job.id, true, Vec::new());
-                            for fid in rel.failed {
-                                canceller.drop_cascaded(fid);
-                            }
-                            ready.extend(rel.ready);
-                            continue;
-                        }
-                    },
-                };
-                sched.enqueue(
-                    PimJob {
-                        id: job.id,
-                        program,
-                        placement: job.placement,
-                        deadline: job.deadline,
-                    },
-                    unit.bank,
-                );
-            }
-            profile.place_micros += clock.lap();
-
-            // Issue everything in circular-bank order; route each dispatch
-            // to the shard owning its bank so same-bank work stays
-            // ordered. With batching on, same-unit jobs splice into one
-            // program.
-            while let Some(mut issue) = sched.issue_next_batch_grouped(max_jobs, grouping, |_| true)
-            {
-                for id in canceller.filter_issue(&mut issue.jobs) {
-                    let rel = deps.on_final(id, true, Vec::new());
-                    for fid in rel.failed {
-                        canceller.drop_cascaded(fid);
-                    }
-                    ready.extend(rel.ready);
-                }
-                for id in canceller.filter_expired(&mut issue.jobs) {
-                    let rel = deps.on_final(id, true, Vec::new());
-                    for fid in rel.failed {
-                        canceller.drop_cascaded(fid);
-                    }
-                    ready.extend(rel.ready);
-                }
-                if issue.jobs.is_empty() {
-                    continue;
-                }
-                let shard = issue.bank % shards;
-                let program = batch_program_cached(&issue.jobs, &compiler, &mut splice_cache);
-                let unit = program
-                    .steps
-                    .first()
-                    .map_or_else(|| units.pim_unit(issue.bank), Step::target);
-                if issue.jobs.len() >= 2 {
-                    batches += 1;
-                    batched_jobs += issue.jobs.len() as u64;
-                    if let Some(trace) = &trace {
-                        trace.record(&Event::Batch {
-                            seq: issue.seq,
-                            bank: issue.bank,
-                            jobs: issue.jobs.iter().map(|j| j.id).collect(),
-                        });
-                    }
-                }
-                let slots: Vec<SlotMeta> = issue
-                    .jobs
-                    .iter()
-                    .map(|j| SlotMeta {
-                        job_id: j.id,
-                        readouts: count_readouts(&j.program),
-                        attempt: 0,
-                    })
-                    .collect();
-                if let Some(trace) = &trace {
-                    for job in &issue.jobs {
-                        trace.record(&Event::Issue {
-                            job: job.id,
-                            seq: issue.seq,
-                            bank: issue.bank,
-                            shard,
-                        });
-                    }
-                }
-                issued += 1;
-                profile.per_shard_issued[shard] += 1;
-                profile.per_shard_jobs[shard] += issue.jobs.len() as u64;
-                let members: Vec<u64> = slots.iter().map(|s| s.job_id).collect();
-                let msg = WorkMsg::Job {
-                    seq: issue.seq,
-                    unit,
-                    program,
-                    slots,
-                };
-                rec.outstanding
-                    .insert(issue.seq, (shard, msg.clone(), members));
-                // A send to a down shard buffers inside the supervisor
-                // until the replacement worker is up.
-                supervisor.send(shard, msg);
-            }
-            profile.dispatch_micros += clock.lap();
-
-            if ready.is_empty() {
-                break;
-            }
-        }
-
-        // 6. Termination: drain acks to the last gate, then fail any
-        //    unsatisfiable tail. With supervision clean (no panic ever
-        //    caught) the wait is the pre-PR blocking recv — a shard-down
-        //    ack itself is what would wake it; once supervision is dirty
-        //    the drain is bounded by the configured deadline so a lost
-        //    shard can never wedge the session.
-        if closed && ready.is_empty() {
-            if !rec.outstanding.is_empty() {
-                if supervisor.counters().0 == 0 {
-                    match ack_rx.recv() {
-                        Ok(ack) => plain_handle_ack(
-                            ack,
-                            &mut rec,
-                            supervisor,
-                            &supervise_opts,
-                            &trace,
-                            &mut canceller,
-                            &mut deps,
-                            &mut ready,
-                        ),
-                        Err(_) => break,
-                    }
-                    continue;
-                }
-                let deadline = *drain_deadline
-                    .get_or_insert_with(|| Instant::now() + supervise_opts.drain_deadline());
-                if Instant::now() >= deadline {
-                    // Deadline hit: whatever is still outstanding will
-                    // never complete. Abandon it so finish() returns.
-                    let seqs: Vec<u64> = rec.outstanding.keys().copied().collect();
-                    for seq in seqs {
-                        let (_, _, ids) = rec.outstanding.remove(&seq).unwrap();
-                        rec.lost.push(seq);
-                        for id in ids {
-                            rec.sup.abandoned_jobs += 1;
-                            if let Some(tx) = &canceller.notify {
-                                let _ = tx.send(JobNotice::Abandoned {
-                                    job_id: id,
-                                    hung: false,
-                                });
-                            }
-                            let rel = deps.on_final(id, true, Vec::new());
-                            for fid in rel.failed {
-                                canceller.drop_cascaded(fid);
-                            }
-                            ready.extend(rel.ready);
-                        }
-                    }
-                    continue;
-                }
-                match ack_rx.recv_timeout(Duration::from_millis(10)) {
-                    Ok(ack) => plain_handle_ack(
-                        ack,
-                        &mut rec,
-                        supervisor,
-                        &supervise_opts,
-                        &trace,
-                        &mut canceller,
-                        &mut deps,
-                        &mut ready,
-                    ),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-                continue;
-            }
-            if deps.is_empty() {
-                break;
-            }
-            // Every dependency that could retire has; what still waits
-            // can never run (e.g. gated on a cancelled predecessor's id
-            // never submitted, or the queue closed mid-chain).
-            let rel = deps.fail_all();
-            for fid in rel.failed {
-                canceller.drop_cascaded(fid);
-            }
-        }
-    }
-
-    profile.wall_micros = wall_start.elapsed().as_micros() as u64;
-    SchedulerOutput::plain(
-        sched.depth_histogram().clone(),
-        issued,
-        batches,
-        batched_jobs,
-        splice_cache.as_ref().map_or((0, 0), BatchCache::counts),
-        (canceller.cancelled, canceller.expired),
-        (
-            deps.deferred,
-            deps.released,
-            deps.cascade_cancelled + dropped,
-            pins,
-        ),
-        rec.sup,
-        rec.lost,
-        profile,
-    )
-}
-
-/// A dispatched-but-unacknowledged attempt the fault-aware scheduler
-/// keeps so it can re-route its member jobs if verification fails. Holds
-/// the members' *individual* programs (pre-splice), so an unverified
-/// batch re-dispatches each member separately.
+/// A dispatched-but-unacknowledged attempt the classic scheduler keeps
+/// so it can re-route its member jobs if verification fails or their
+/// shard dies. Holds the members' *individual* programs (pre-splice),
+/// so an unverified batch re-dispatches each member separately.
 struct InflightRec {
     jobs: Vec<PimJob>,
     /// Worker shard the dispatch went to.
@@ -3278,15 +2716,21 @@ struct InflightRec {
     budget: Duration,
 }
 
-/// The fault-aware scheduler's mutable state, factored out so ack
-/// handling can be invoked from both the polling and the blocking paths
-/// of the loop.
-struct FaultSched<'a> {
+/// The classic scheduler's mutable state, factored out so ack handling
+/// can be invoked from both the polling and the blocking paths of
+/// [`classic_loop`].
+struct ClassicSched<'a> {
     units: MemoryController,
     unit_count: usize,
     shards: usize,
     dispatch: DispatchMode,
     policy: HealthPolicy,
+    /// Whether the session is resilient ([`RuntimeOptions::resilient`]).
+    /// Only then do acks feed bank health and the per-bank in-flight cap
+    /// gate issue; otherwise issue is ungated, so issue order does not
+    /// depend on ack timing and reports are bit-identical across shard
+    /// counts.
+    resilient: bool,
     protection_active: bool,
     batch: BatchOptions,
     compiler: Compiler,
@@ -3322,6 +2766,9 @@ struct FaultSched<'a> {
     scrubs: u64,
     scrub_total: ScrubOutcome,
     deps: DepTracker,
+    /// Jobs cleared for placement: admitted this round or released by a
+    /// retirement. Placed in order by [`ClassicSched::place_ready`].
+    ready: VecDeque<PimJob>,
     /// Residency id → (hosting unit, pin program kept for
     /// re-materialization after quarantine).
     residents: HashMap<u64, (DbcLocation, Arc<PimProgram>)>,
@@ -3338,7 +2785,7 @@ struct FaultSched<'a> {
     per_shard_jobs: Vec<u64>,
 }
 
-impl FaultSched<'_> {
+impl ClassicSched<'_> {
     /// The next PIM unit in circular order, skipping quarantined banks,
     /// banks owned by a down worker shard, and `avoid` (when
     /// alternatives exist). Falls back to plain circular order if every
@@ -3363,6 +2810,14 @@ impl FaultSched<'_> {
         let unit = self.units.pim_unit(self.place_cursor % self.unit_count);
         self.place_cursor += 1;
         unit
+    }
+
+    /// The attempt number of job `id`'s next dispatch. Verification
+    /// re-dispatches and crash/hang re-placements share the attempt axis
+    /// (each restart of the job is a distinct attempt).
+    fn attempt(&self, id: u64) -> u32 {
+        self.redispatched.get(&id).copied().unwrap_or(0)
+            + self.crash_retries.get(&id).copied().unwrap_or(0)
     }
 
     /// Resolves a job's placement (quarantine-aware for anything but
@@ -3422,8 +2877,8 @@ impl FaultSched<'_> {
     }
 
     /// Records a job's final attempt with the dependency tracker and
-    /// handles whatever that set free: ready jobs place (unless
-    /// cancelled meanwhile), cascade-failed jobs report as cancelled.
+    /// handles whatever that set free: ready jobs join the ready list,
+    /// cascade-failed jobs report as cancelled.
     fn finalize(&mut self, id: u64, errored: bool, outputs: Vec<(String, Vec<u64>)>) {
         let rel = self.deps.on_final(id, errored, outputs);
         self.process_released(rel);
@@ -3433,7 +2888,14 @@ impl FaultSched<'_> {
         for id in rel.failed {
             self.canceller.drop_cascaded(id);
         }
-        for job in rel.ready {
+        self.ready.extend(rel.ready);
+    }
+
+    /// Places the ready list in order, dropping jobs cancelled while
+    /// they waited (a drop can cascade and release more work, which
+    /// places in the same pass).
+    fn place_ready(&mut self) {
+        while let Some(job) = self.ready.pop_front() {
             if self.canceller.armed() && self.canceller.drop_if_cancelled(job.id) {
                 self.finalize(job.id, true, Vec::new());
                 continue;
@@ -3442,8 +2904,9 @@ impl FaultSched<'_> {
         }
     }
 
-    /// Admits one submission from the queue (a chaos plan may inject a
-    /// deterministic, seed-keyed delay here).
+    /// Admits one submission from the queue into the ready list (a chaos
+    /// plan may inject a deterministic, seed-keyed delay here). Pins
+    /// register their residency now, before their load job places.
     fn admit(&mut self, submission: Submission) {
         if let Some(plan) = self.chaos {
             let probe = match &submission {
@@ -3460,13 +2923,7 @@ impl FaultSched<'_> {
             }
         }
         match submission {
-            Submission::Job(job) => {
-                if self.canceller.armed() && self.canceller.drop_if_cancelled(job.id) {
-                    self.finalize(job.id, true, Vec::new());
-                    return;
-                }
-                self.place(job);
-            }
+            Submission::Job(job) => self.ready.push_back(job),
             Submission::Chain(chain) => {
                 let rel = self.deps.admit(chain);
                 self.process_released(rel);
@@ -3487,7 +2944,7 @@ impl FaultSched<'_> {
                         bank: unit.bank,
                     });
                 }
-                self.place(job);
+                self.ready.push_back(job);
             }
         }
     }
@@ -3528,11 +2985,15 @@ impl FaultSched<'_> {
         }
     }
 
-    /// Issues every queued dispatch whose bank is below the in-flight cap
-    /// and whose worker shard is up (work for a down shard stays queued
-    /// until the replacement worker runs).
+    /// Issues every queued dispatch whose worker shard is up (work for a
+    /// down shard stays queued until the replacement worker runs) and,
+    /// in resilient sessions, whose bank is below the in-flight cap.
     fn issue_ready(&mut self) {
-        let cap = self.policy.max_inflight_per_bank;
+        let cap = if self.resilient {
+            self.policy.max_inflight_per_bank
+        } else {
+            usize::MAX
+        };
         let max_jobs = self.batch.cap();
         let grouping = self.batch.grouping;
         // Snapshot of down shards, stable for the scan; a shard that
@@ -3542,13 +3003,14 @@ impl FaultSched<'_> {
                 .map(|s| self.supervisor.is_down(s))
                 .collect()
         } else {
-            vec![false; self.shards]
+            Vec::new()
         };
         loop {
             let Some(mut issue) = self
                 .sched
                 .issue_next_batch_grouped(max_jobs, grouping, |bank| {
-                    self.inflight_per_bank[bank] < cap && !down[bank % self.shards]
+                    self.inflight_per_bank[bank] < cap
+                        && down.get(bank % self.shards) != Some(&true)
                 })
             else {
                 return;
@@ -3593,11 +3055,7 @@ impl FaultSched<'_> {
             .map(|j| SlotMeta {
                 job_id: j.id,
                 readouts: count_readouts(&j.program),
-                // Verification re-dispatches and crash/hang re-placements
-                // share the attempt axis (each restart of the job is a
-                // distinct attempt).
-                attempt: self.redispatched.get(&j.id).copied().unwrap_or(0)
-                    + self.crash_retries.get(&j.id).copied().unwrap_or(0),
+                attempt: self.attempt(j.id),
             })
             .collect();
         if let Some(trace) = &self.trace {
@@ -3697,7 +3155,12 @@ impl FaultSched<'_> {
                         }
                     }
                 }
-                match self.health.record(bank, faulty) {
+                let transition = if self.resilient {
+                    self.health.record(bank, faulty)
+                } else {
+                    Transition::None
+                };
+                match transition {
                     Transition::Suspect(score) => {
                         if let Some(trace) = &self.trace {
                             trace.record(&Event::BankSuspect { bank, score });
@@ -3833,12 +3296,11 @@ impl FaultSched<'_> {
         }
     }
 
-    /// Takes a worker shard down: marks it with the supervisor, discards
-    /// anything buffered for it (the in-flight records below re-place
-    /// through normal issue — flushing the buffer on restart too would
-    /// double-send), and re-routes every in-flight attempt it owned. The
-    /// attempt that actually crashed or hung burns a crash retry per
-    /// member; attempts merely queued behind it re-place for free.
+    /// Takes a worker shard down: marks it with the supervisor and
+    /// re-places every in-flight attempt it owned, to be issued under
+    /// fresh seqs. The attempt that actually crashed or hung burns a
+    /// crash retry per member; attempts merely queued behind it
+    /// re-place for free.
     fn shard_down(
         &mut self,
         shard: usize,
@@ -3846,12 +3308,8 @@ impl FaultSched<'_> {
         cause: DownCause,
         failed_seq: Option<u64>,
     ) {
-        match self.supervisor.mark_down(shard, generation, cause) {
-            Down::Stale => return,
-            // Retirement hands the buffer back; a pending restart would
-            // flush it to the replacement, so take it out of the slot.
-            Down::Retired(buffered) => drop(buffered),
-            Down::Pending => drop(self.supervisor.take_buffer(shard)),
+        if !self.supervisor.mark_down(shard, generation, cause) {
+            return;
         }
         let hung = matches!(cause, DownCause::Hang);
         if let Some(trace) = &self.trace {
@@ -3913,11 +3371,7 @@ impl FaultSched<'_> {
             let members: Vec<(u64, u32, u64)> = rec
                 .jobs
                 .iter()
-                .map(|j| {
-                    let attempt = self.redispatched.get(&j.id).copied().unwrap_or(0)
-                        + self.crash_retries.get(&j.id).copied().unwrap_or(0);
-                    (j.id, attempt, cache::fingerprint(&j.program))
-                })
+                .map(|j| (j.id, self.attempt(j.id), cache::fingerprint(&j.program)))
                 .collect();
             self.sup.hung_attempts += 1;
             for (job, attempt, fingerprint) in members {
@@ -3975,16 +3429,21 @@ impl FaultSched<'_> {
     }
 }
 
-/// The scheduler loop used when fault injection or a protection policy is
-/// active: interleaves queue draining with worker-ack processing so bank
-/// health transitions and re-dispatch happen while the session is live.
+/// The classic engine's scheduler loop: drains the submission queue,
+/// places jobs in the paper's circular-bank order (§V-C), issues them to
+/// the worker shards, and interleaves worker-ack processing so
+/// dependency gates, bank health, re-dispatch, and shard recovery all
+/// happen while the session is live.
 ///
-/// Unlike [`scheduler_loop`], issue order here depends on completion
-/// timing (the in-flight cap gates issue on acks), so reports are *not*
-/// bit-deterministic across shard counts — the no-fault path keeps that
-/// property by never entering this loop.
+/// Issue is ungated unless the session is `resilient` (a fault plan, a
+/// protection policy, the watchdog, or an active chaos plan). Then the
+/// per-bank in-flight cap gates issue on acks, so issue order depends
+/// on completion timing and reports are *not* bit-deterministic across
+/// shard counts. Without it, and with no bank quarantined and no shard
+/// down, placement is the bare circular cursor and the report is
+/// bit-identical across shard counts.
 #[allow(clippy::too_many_arguments)]
-fn fault_scheduler_loop(
+fn classic_loop(
     config: &MemoryConfig,
     queue: &JobQueue<Submission>,
     supervisor: &Supervisor<WorkMsg>,
@@ -3993,6 +3452,7 @@ fn fault_scheduler_loop(
     dispatch: DispatchMode,
     protection: ProtectionPolicy,
     policy: HealthPolicy,
+    resilient: bool,
     trace: Option<Arc<EventTrace>>,
     batch: BatchOptions,
     compile: CompileOptions,
@@ -4007,13 +3467,16 @@ fn fault_scheduler_loop(
     let units = MemoryController::new(config.clone());
     let unit_count = units.pim_unit_count();
     let splice_cache = batch.splice_cache();
-    let mut state = FaultSched {
+    let mut state = ClassicSched {
         unit_count,
         shards,
         dispatch,
         policy,
+        resilient,
         protection_active: protection.is_active(),
         batch,
+        // The scheduler's own compiler optimizes *across* spliced program
+        // boundaries; per-job optimization already happened at submit.
         compiler: Compiler::new(config.clone(), &compile),
         splice_cache,
         canceller,
@@ -4040,6 +3503,7 @@ fn fault_scheduler_loop(
         scrubs: 0,
         scrub_total: ScrubOutcome::default(),
         deps: DepTracker::new(),
+        ready: VecDeque::new(),
         residents: HashMap::new(),
         next_id,
         pins: 0,
@@ -4053,18 +3517,32 @@ fn fault_scheduler_loop(
     let mut closed = false;
     // Armed (once supervision is dirty) the first time the drain blocks.
     let mut drain_deadline: Option<Instant> = None;
-    // Occupancy profile. The fault loop folds placement into admission
-    // and issue (state.admit/issue_ready place internally), so
-    // place_micros stays 0 here; termination-block CPU rides into the
-    // next pop lap (the waits themselves cost ~0 thread CPU).
+    // Occupancy profile: stage busy times in thread-CPU micros (waits
+    // cost ~0 CPU, so blocked pops charge nothing). Placement of staged
+    // jobs is the place lap; recovery re-placement inside ack handling
+    // rides the ack lap. Termination-block CPU rides into the next pop
+    // lap.
     let mut profile = SchedProfile::default();
     let wall_start = Instant::now();
     let mut clock = cputime::StageClock::start();
+    // Kick-counter snapshot for event-driven pops: workers kick the
+    // queue after every ack, and a pop observing a kick newer than this
+    // snapshot returns immediately instead of riding out its timeout.
+    let mut seen_kicks = queue.kicks();
 
     loop {
-        // 1. Pull newly submitted jobs, bounded so acks stay responsive.
+        // 1. Pull newly submitted work. The pop is kick-aware: a push or
+        //    a worker ack arriving mid-wait wakes it immediately, so the
+        //    50ms ceiling is only ridden out when the session is idle.
+        //    The watchdog's hung-attempt scan and restart backoff have
+        //    no kick, so they keep a short bounded wait.
         if !closed {
-            match queue.pop_timeout(Duration::from_millis(1)) {
+            let wait = if state.watchdog.enabled || state.dirty() {
+                Duration::from_millis(1)
+            } else {
+                Duration::from_millis(50)
+            };
+            match queue.pop_kicked(wait, seen_kicks) {
                 Pop::Item(first) => {
                     drained.push(first);
                     queue.drain_ready(&mut drained);
@@ -4080,24 +3558,38 @@ fn fault_scheduler_loop(
         profile.admit_micros += clock.lap();
 
         // 2. Process every acknowledgement already available, scan for
-        //    hung attempts, and bring replacement workers up.
+        //    hung attempts, and bring replacement workers up once
+        //    supervision is dirty. Snapshot the kick counter first: any
+        //    ack (and kick) landing after this line wakes the next pop
+        //    early — snapshot-then-drain can never lose a wakeup.
+        seen_kicks = queue.kicks();
         while let Ok(ack) = ack_rx.try_recv() {
             state.handle_ack(ack);
         }
         state.watchdog_scan();
-        for ev in supervisor.poll_restarts() {
-            if let Some(trace) = &state.trace {
-                trace.record(&Event::ShardRestart {
-                    shard: ev.shard,
-                    restarts: ev.restarts,
-                });
+        if state.dirty() {
+            for ev in supervisor.poll_restarts() {
+                if let Some(trace) = &state.trace {
+                    trace.record(&Event::ShardRestart {
+                        shard: ev.shard,
+                        restarts: ev.restarts,
+                    });
+                }
             }
         }
         profile.ack_micros += clock.lap();
 
-        // 3. Issue everything the in-flight cap allows.
-        state.issue_ready();
-        profile.dispatch_micros += clock.lap();
+        // 3. Place and issue until nothing new is released (dropping a
+        //    cancelled or expired job can cascade and release more work).
+        loop {
+            state.place_ready();
+            profile.place_micros += clock.lap();
+            state.issue_ready();
+            profile.dispatch_micros += clock.lap();
+            if state.ready.is_empty() {
+                break;
+            }
+        }
 
         // 4. Termination and anti-spin blocking once the queue is closed.
         if closed {
@@ -4133,12 +3625,12 @@ fn fault_scheduler_loop(
                 }
                 break;
             }
-            // Progress now requires an ack (a free bank slot, a
-            // completion that may trigger re-dispatch, or a restart
-            // flushing queued work). With supervision clean this blocks
-            // exactly as before — a shard-down ack itself would wake it;
-            // dirty, the wait is bounded so a dead or stalled shard can
-            // never wedge the drain past the configured deadline.
+            // Progress now requires an ack (a completion that releases a
+            // gate, frees a bank slot, or triggers re-dispatch, or a
+            // shard-down report). With supervision clean this blocks —
+            // a shard-down ack itself would wake it; dirty, the wait is
+            // bounded so a dead or stalled shard can never wedge the
+            // drain past the configured deadline.
             if !state.inflight.is_empty() || state.scrubs_pending() > 0 || state.sched.pending() > 0
             {
                 // The watchdog needs the wait bounded even while clean,
@@ -4242,7 +3734,7 @@ fn worker_loop(
     protection: ProtectionPolicy,
     rx: &mpsc::Receiver<WorkMsg>,
     done: &mpsc::Sender<DoneMsg>,
-    ack: Option<&mpsc::Sender<AckMsg>>,
+    ack: &mpsc::Sender<AckMsg>,
     notify: Option<&mpsc::Sender<JobNotice>>,
     max_redispatch: u32,
     ctx: WorkerCtx,
@@ -4263,14 +3755,12 @@ fn worker_loop(
     // mpsc FIFO order guarantees every ack this worker already sent is
     // processed before the down report.
     let report_down = |panicked_seq: Option<u64>| {
-        if let Some(ack) = ack {
-            let _ = ack.send(AckMsg::ShardDown {
-                shard: ctx.shard,
-                generation: ctx.generation,
-                panicked_seq,
-            });
-            ctx.kick.kick();
-        }
+        let _ = ack.send(AckMsg::ShardDown {
+            shard: ctx.shard,
+            generation: ctx.generation,
+            panicked_seq,
+        });
+        ctx.kick.kick();
     };
     let mut clock = cputime::StageClock::start();
     while let Ok(msg) = rx.recv() {
@@ -4290,10 +3780,8 @@ fn worker_loop(
                     report_down(None);
                     return;
                 };
-                if let Some(ack) = ack {
-                    let _ = ack.send(AckMsg::Scrub { bank, outcome });
-                    ctx.kick.kick();
-                }
+                let _ = ack.send(AckMsg::Scrub { bank, outcome });
+                ctx.kick.kick();
             }
             WorkMsg::Job {
                 seq,
@@ -4302,9 +3790,7 @@ fn worker_loop(
                 slots,
             } => {
                 if ctx.heartbeat {
-                    if let Some(ack) = ack {
-                        let _ = ack.send(AckMsg::Started { seq });
-                    }
+                    let _ = ack.send(AckMsg::Started { seq });
                 }
                 // Chaos draws key on the dispatch's first member and its
                 // attempt, so a re-dispatched attempt draws fresh and
@@ -4369,20 +3855,18 @@ fn worker_loop(
                         });
                     }
                 }
-                if let Some(ack) = ack {
-                    let _ = ack.send(AckMsg::Job {
-                        seq,
-                        bank: unit.bank,
-                        faults: out.faults_detected + u64::from(out.error.is_some()),
-                        verified: out.verified,
-                        errored: out.error.is_some(),
-                        members,
-                    });
-                    // Ack first, then kick: the scheduler snapshots the
-                    // kick counter before draining acks, so this order
-                    // can never lose the wakeup.
-                    ctx.kick.kick();
-                }
+                let _ = ack.send(AckMsg::Job {
+                    seq,
+                    bank: unit.bank,
+                    faults: out.faults_detected + u64::from(out.error.is_some()),
+                    verified: out.verified,
+                    errored: out.error.is_some(),
+                    members,
+                });
+                // Ack first, then kick: the scheduler snapshots the kick
+                // counter before draining acks, so this order can never
+                // lose the wakeup.
+                ctx.kick.kick();
                 let _ = done.send(DoneMsg {
                     seq,
                     unit,

@@ -196,7 +196,7 @@ impl BankScheduler {
     }
 
     /// Like [`BankScheduler::issue_next`], but only considers banks the
-    /// `eligible` predicate accepts — the fault-aware scheduler passes an
+    /// `eligible` predicate accepts — resilient sessions pass an
     /// in-flight cap so a failing bank cannot absorb unbounded work
     /// before its health score catches up.
     pub fn issue_next_where<F: FnMut(usize) -> bool>(

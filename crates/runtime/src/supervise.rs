@@ -2,8 +2,9 @@
 //! watchdog, and the poison-job quarantine.
 //!
 //! Each worker shard runs under a [`Supervisor`]. A shard that panics is
-//! marked down, its queued dispatches are captured for re-dispatch, and
-//! a replacement worker is spawned after a bounded exponential backoff;
+//! marked down (the scheduler re-places its queued and in-flight
+//! dispatches from its own records), and a replacement worker is
+//! spawned after a bounded exponential backoff;
 //! a shard whose in-flight attempt exceeds its watchdog budget is
 //! replaced immediately (the stalled thread is detached and its late
 //! results discarded by sequence number). Programs whose attempts keep
@@ -14,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -234,18 +235,6 @@ pub(crate) enum DownCause {
     Hang,
 }
 
-/// What [`Supervisor::mark_down`] decided.
-pub(crate) enum Down<T> {
-    /// The report referred to an earlier incarnation of the shard —
-    /// a late panic from an already-replaced worker. Ignore it.
-    Stale,
-    /// The shard is down and will be restarted after its backoff.
-    Pending,
-    /// The shard exhausted its restart budget; any dispatches buffered
-    /// for it are returned so the scheduler can account them lost.
-    Retired(Vec<T>),
-}
-
 /// What one [`Supervisor::poll_restarts`] pass did.
 pub(crate) struct RestartEvent {
     pub shard: usize,
@@ -272,10 +261,6 @@ struct Slot<T> {
     generation: u64,
     restarts: u32,
     backoff: Duration,
-    /// Dispatches sent while the shard was down, flushed on restart (the
-    /// plain scheduler's recovery path; the fault-aware scheduler avoids
-    /// down shards instead).
-    buffer: Vec<T>,
 }
 
 struct Inner<T> {
@@ -291,6 +276,9 @@ struct Inner<T> {
 pub(crate) struct Supervisor<T> {
     options: SuperviseOptions,
     inner: Mutex<Inner<T>>,
+    /// Shards currently down or retired, so the scheduler's hot path
+    /// can ask [`Supervisor::any_down`] without taking the lock.
+    down: AtomicUsize,
     panics_caught: AtomicU64,
     restarts: AtomicU64,
     retired: AtomicU64,
@@ -309,7 +297,6 @@ impl<T: Send + 'static> Supervisor<T> {
                     generation: 0,
                     restarts: 0,
                     backoff: options.first_backoff(),
-                    buffer: Vec::new(),
                 }
             })
             .collect();
@@ -320,28 +307,22 @@ impl<T: Send + 'static> Supervisor<T> {
                 factory: Some(factory),
                 detached: Vec::new(),
             }),
+            down: AtomicUsize::new(0),
             panics_caught: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             retired: AtomicU64::new(0),
         }
     }
 
-    /// Sends `msg` to `shard`, buffering it if the shard is down (it is
-    /// flushed to the replacement worker on restart). Dispatches to a
-    /// retired shard are buffered too; the scheduler drains them through
-    /// [`Supervisor::mark_down`]'s retirement return or at close.
+    /// Sends `msg` to `shard`. A send to a shard that is not live —
+    /// down, retired, or dead but not yet marked down — is dropped: the
+    /// caller keeps its own record of the work and re-places it when
+    /// the down report arrives.
     pub fn send(&self, shard: usize, msg: T) {
-        let mut inner = sync::lock(&self.inner);
-        let slot = &mut inner.slots[shard];
-        match (&slot.state, &slot.tx) {
-            (SlotState::Up, Some(tx)) => {
-                if let Err(mpsc::SendError(msg)) = tx.send(msg) {
-                    // The worker died without reporting yet; hold the
-                    // dispatch for its replacement.
-                    slot.buffer.push(msg);
-                }
-            }
-            _ => slot.buffer.push(msg),
+        let inner = sync::lock(&self.inner);
+        let slot = &inner.slots[shard];
+        if let (SlotState::Up, Some(tx)) = (&slot.state, &slot.tx) {
+            let _ = tx.send(msg);
         }
     }
 
@@ -350,12 +331,9 @@ impl<T: Send + 'static> Supervisor<T> {
         !matches!(sync::lock(&self.inner).slots[shard].state, SlotState::Up)
     }
 
-    /// Whether any shard is down or retired.
+    /// Whether any shard is down or retired (lock-free).
     pub fn any_down(&self) -> bool {
-        sync::lock(&self.inner)
-            .slots
-            .iter()
-            .any(|s| !matches!(s.state, SlotState::Up))
+        self.down.load(Ordering::Relaxed) > 0
     }
 
     /// The current incarnation of `shard`.
@@ -363,28 +341,30 @@ impl<T: Send + 'static> Supervisor<T> {
         sync::lock(&self.inner).slots[shard].generation
     }
 
-    /// Takes `shard` down. `generation` guards against late reports from
-    /// already-replaced workers. Panicked shards wait out their backoff;
-    /// hung shards restart on the next poll (their thread is detached).
-    pub fn mark_down(&self, shard: usize, generation: u64, cause: DownCause) -> Down<T> {
+    /// Takes `shard` down and returns `true`; returns `false` for a
+    /// stale report (`generation` names an already-replaced worker, or
+    /// the shard is already down). Panicked shards wait out their
+    /// backoff; hung shards restart on the next poll (their thread is
+    /// detached); a shard out of restarts is retired for the session.
+    pub fn mark_down(&self, shard: usize, generation: u64, cause: DownCause) -> bool {
         let mut inner = sync::lock(&self.inner);
         let slot = &mut inner.slots[shard];
         if generation != slot.generation || !matches!(slot.state, SlotState::Up) {
-            return Down::Stale;
+            return false;
         }
         if cause == DownCause::Panic {
             self.panics_caught.fetch_add(1, Ordering::Relaxed);
         }
+        self.down.fetch_add(1, Ordering::Relaxed);
         slot.tx = None;
         let handle = slot.handle.take();
         if slot.restarts >= self.options.max_restarts {
             slot.state = SlotState::Retired;
             self.retired.fetch_add(1, Ordering::Relaxed);
-            let dropped = std::mem::take(&mut slot.buffer);
             if let Some(h) = handle {
                 inner.detached.push(h);
             }
-            return Down::Retired(dropped);
+            return true;
         }
         let backoff = match cause {
             // A hung shard's capacity is gone until a replacement runs;
@@ -399,12 +379,11 @@ impl<T: Send + 'static> Supervisor<T> {
         if let Some(h) = handle {
             inner.detached.push(h);
         }
-        Down::Pending
+        true
     }
 
-    /// Restarts every down shard whose backoff has elapsed, flushing its
-    /// buffered dispatches to the replacement worker. Returns what was
-    /// restarted (for trace events and stats).
+    /// Restarts every down shard whose backoff has elapsed. Returns what
+    /// was restarted (for trace events and stats).
     pub fn poll_restarts(&self) -> Vec<RestartEvent> {
         let mut inner = sync::lock(&self.inner);
         let Some(factory) = inner.factory.take() else {
@@ -422,12 +401,10 @@ impl<T: Send + 'static> Supervisor<T> {
             slot.generation += 1;
             slot.restarts += 1;
             let (tx, handle) = factory(shard, slot.generation);
-            for msg in slot.buffer.drain(..) {
-                let _ = tx.send(msg);
-            }
             slot.tx = Some(tx);
             slot.handle = Some(handle);
             slot.state = SlotState::Up;
+            self.down.fetch_sub(1, Ordering::Relaxed);
             self.restarts.fetch_add(1, Ordering::Relaxed);
             events.push(RestartEvent {
                 shard,
@@ -438,27 +415,14 @@ impl<T: Send + 'static> Supervisor<T> {
         events
     }
 
-    /// Takes (and clears) whatever is buffered for `shard`. The
-    /// fault-aware scheduler calls this right after a mark-down: it
-    /// re-places in-flight work from its own records, so a restart
-    /// flushing the buffer too would double-send.
-    pub fn take_buffer(&self, shard: usize) -> Vec<T> {
-        std::mem::take(&mut sync::lock(&self.inner).slots[shard].buffer)
-    }
-
     /// Stops supervision: drops the factory (no further restarts) and
     /// every live sender so workers drain their channels and exit.
-    /// Returns dispatches still buffered for down/retired shards so the
-    /// caller can account them lost.
-    pub fn close(&self) -> Vec<T> {
+    pub fn close(&self) {
         let mut inner = sync::lock(&self.inner);
         inner.factory = None;
-        let mut dropped = Vec::new();
         for slot in &mut inner.slots {
             slot.tx = None;
-            dropped.append(&mut slot.buffer);
         }
-        dropped
     }
 
     /// Detached worker threads that are still running (stalled). While
@@ -551,32 +515,38 @@ mod tests {
     }
 
     #[test]
-    fn down_shard_buffers_until_restart() {
+    fn down_shard_drops_sends_until_restart() {
         let (out_tx, out_rx) = mpsc::channel();
         let options = SuperviseOptions {
             backoff_base_ms: 1,
             ..SuperviseOptions::default()
         };
         let sup = Supervisor::new(1, options, echo_factory(out_tx));
-        assert!(matches!(
-            sup.mark_down(0, 0, DownCause::Panic),
-            Down::Pending
-        ));
+        assert!(sup.mark_down(0, 0, DownCause::Panic));
         assert!(sup.is_down(0));
+        assert!(sup.any_down());
+        // The caller re-places work for a down shard itself; a send in
+        // the down window is dropped, not held for the replacement.
         sup.send(0, 7);
-        // Wait out the backoff, then restart and observe the flush with
-        // the new generation stamp.
+        // Wait out the backoff, then restart: the replacement worker
+        // carries the new generation stamp and sees only later sends.
         std::thread::sleep(Duration::from_millis(5));
         let events = sup.poll_restarts();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].restarts, 1);
         assert!(!sup.is_down(0));
+        assert!(!sup.any_down());
         assert_eq!(sup.generation(0), 1);
-        assert_eq!(out_rx.recv_timeout(Duration::from_secs(2)).unwrap(), 71);
+        sup.send(0, 8);
+        assert_eq!(out_rx.recv_timeout(Duration::from_secs(2)).unwrap(), 81);
         let (panics, restarts, retired) = sup.counters();
         assert_eq!((panics, restarts, retired), (1, 1, 0));
         sup.close();
         sup.join_all(Instant::now() + Duration::from_secs(2));
+        assert!(
+            out_rx.try_recv().is_err(),
+            "the down-window send was dropped"
+        );
     }
 
     #[test]
@@ -587,41 +557,40 @@ mod tests {
             ..SuperviseOptions::default()
         };
         let sup = Supervisor::new(1, options, echo_factory(out_tx));
-        assert!(matches!(
-            sup.mark_down(0, 0, DownCause::Panic),
-            Down::Pending
-        ));
+        assert!(sup.mark_down(0, 0, DownCause::Panic));
         // A second report for the same incarnation is stale, as is any
         // report after the restart bumped the generation.
-        assert!(matches!(sup.mark_down(0, 0, DownCause::Panic), Down::Stale));
+        assert!(!sup.mark_down(0, 0, DownCause::Panic));
         sup.poll_restarts();
-        assert!(matches!(sup.mark_down(0, 0, DownCause::Hang), Down::Stale));
+        assert!(!sup.mark_down(0, 0, DownCause::Hang));
         sup.close();
         sup.join_all(Instant::now() + Duration::from_secs(2));
     }
 
     #[test]
-    fn exhausted_restart_budget_retires_with_buffered_work() {
-        let (out_tx, _out_rx) = mpsc::channel();
+    fn exhausted_restart_budget_retires_the_shard() {
+        let (out_tx, out_rx) = mpsc::channel();
         let options = SuperviseOptions {
             max_restarts: 0,
             ..SuperviseOptions::default()
         };
         let sup = Supervisor::new(1, options, echo_factory(out_tx));
-        sup.mark_down(0, 0, DownCause::Panic);
-        // max_restarts = 0 retires immediately; nothing was buffered yet.
-        match sup.mark_down(0, 0, DownCause::Panic) {
-            Down::Stale => {}
-            _ => panic!("second report is stale"),
-        }
+        // max_restarts = 0 retires on the first report.
+        assert!(sup.mark_down(0, 0, DownCause::Panic));
+        assert!(
+            !sup.mark_down(0, 0, DownCause::Panic),
+            "second report is stale"
+        );
         assert!(sup.is_down(0));
         assert!(sup.poll_restarts().is_empty(), "retired shards stay down");
+        assert!(sup.any_down());
+        // A send to a retired shard goes nowhere.
         sup.send(0, 9);
-        let dropped = sup.close();
-        assert_eq!(dropped, vec![9]);
-        let (_, _, retired) = sup.counters();
-        assert_eq!(retired, 1);
+        sup.close();
+        let (_, restarts, retired) = sup.counters();
+        assert_eq!((restarts, retired), (0, 1));
         sup.join_all(Instant::now() + Duration::from_secs(2));
+        assert!(out_rx.try_recv().is_err(), "nothing reached a worker");
     }
 
     #[test]
@@ -647,10 +616,7 @@ mod tests {
         let sup = Supervisor::new(1, SuperviseOptions::default(), factory);
         sup.send(0, 0);
         std::thread::sleep(Duration::from_millis(10));
-        assert!(matches!(
-            sup.mark_down(0, 0, DownCause::Hang),
-            Down::Pending
-        ));
+        assert!(sup.mark_down(0, 0, DownCause::Hang));
         // Hang restarts need no backoff.
         assert_eq!(sup.poll_restarts().len(), 1);
         assert_eq!(sup.stalled_workers(), 1, "the old thread is detached");

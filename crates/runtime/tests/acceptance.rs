@@ -7,7 +7,7 @@ use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::controller::Request;
 use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController, RowAddress};
 use coruscant_runtime::{
-    run_batch, DispatchMode, Placement, Runtime, RuntimeOptions, RuntimeReport,
+    run_batch, DispatchMode, HealthPolicy, Placement, Runtime, RuntimeOptions, RuntimeReport,
 };
 
 /// Eight banks so circular dispatch has room to spread a burst.
@@ -62,11 +62,22 @@ fn add_job(a: u64, b: u64) -> PimProgram {
 }
 
 fn run(config: &MemoryConfig, n: u64, dispatch: DispatchMode, shards: usize) -> RuntimeReport {
-    let options = RuntimeOptions::default()
-        .with_dispatch(dispatch)
-        .with_shards(shards);
+    run_with(
+        config,
+        n,
+        RuntimeOptions::default().with_dispatch(dispatch),
+        shards,
+    )
+}
+
+fn run_with(
+    config: &MemoryConfig,
+    n: u64,
+    options: RuntimeOptions,
+    shards: usize,
+) -> RuntimeReport {
     let programs = (0..n).map(|i| add_job(i, 10)).collect();
-    run_batch(config, programs, options).unwrap()
+    run_batch(config, programs, options.with_shards(shards)).unwrap()
 }
 
 /// The acceptance criterion: N independent single-op jobs issued
@@ -170,19 +181,31 @@ fn modeled_times_agree_with_controller_accounting() {
 
 /// Results and modeled times are a function of the job stream, not of the
 /// host parallelism: every shard count produces the identical report.
+/// The per-bank in-flight cap gates issue only in resilient sessions, so
+/// the tightest cap without faults, protection, watchdog or chaos must
+/// change nothing either.
 #[test]
 fn report_is_deterministic_across_shard_counts() {
     let config = eight_bank_config();
-    let baseline = run(&config, 20, DispatchMode::Circular, 1);
-    for shards in [2, 4, 8] {
-        let report = run(&config, 20, DispatchMode::Circular, shards);
-        assert_eq!(report.outcomes, baseline.outcomes, "shards = {shards}");
-        assert_eq!(
-            report.stats.makespan_cycles, baseline.stats.makespan_cycles,
-            "shards = {shards}"
-        );
-        assert_eq!(report.stats.per_bank, baseline.stats.per_bank);
-        assert_eq!(report.stats.wait, baseline.stats.wait);
+    let capped = RuntimeOptions::default().with_health(HealthPolicy {
+        max_inflight_per_bank: 1,
+        ..HealthPolicy::default()
+    });
+    let uncapped = run(&config, 20, DispatchMode::Circular, 1);
+    for options in [RuntimeOptions::default(), capped] {
+        let baseline = run_with(&config, 20, options.clone(), 1);
+        assert_eq!(baseline.outcomes, uncapped.outcomes);
+        assert_eq!(baseline.stats.wait, uncapped.stats.wait);
+        for shards in [2, 4, 8] {
+            let report = run_with(&config, 20, options.clone(), shards);
+            assert_eq!(report.outcomes, baseline.outcomes, "shards = {shards}");
+            assert_eq!(
+                report.stats.makespan_cycles, baseline.stats.makespan_cycles,
+                "shards = {shards}"
+            );
+            assert_eq!(report.stats.per_bank, baseline.stats.per_bank);
+            assert_eq!(report.stats.wait, baseline.stats.wait);
+        }
     }
 }
 

@@ -457,9 +457,10 @@ fn invalid_protection_and_health_are_rejected() {
     .is_err());
 }
 
-/// The fault-aware scheduler path with a healthy plan and no protection
-/// still completes every job and reports zeroed fault counters — the
-/// plumbing itself must not disturb results.
+/// A healthy plan with no protection makes the session resilient (acks
+/// feed bank health, the in-flight cap gates issue), yet it still
+/// completes every job and reports zeroed fault counters — the plumbing
+/// itself must not disturb results.
 #[test]
 fn healthy_plan_on_fault_path_matches_plain_results() {
     let config = eight_bank_config();
@@ -498,4 +499,24 @@ fn healthy_plan_on_fault_path_matches_plain_results() {
     assert_eq!(a, b, "same outputs regardless of scheduler path");
     assert_eq!(fault_path.stats.faults.faults_detected, 0);
     assert_eq!(fault_path.stats.faults.quarantined_banks, 0);
+}
+
+/// Resilient sessions stage admitted and released jobs like every other
+/// session, so their placement (a program retarget per job) is charged
+/// to the `place` stage rather than folded into admission, which only
+/// queues each job.
+#[test]
+fn resilient_session_charges_placement_to_the_place_stage() {
+    let report = run_campaign(
+        &eight_bank_config(),
+        2000,
+        RuntimeOptions::default().with_faults(FaultPlan::healthy(5)),
+    )
+    .unwrap();
+    assert_eq!(report.outcomes.len(), 2000);
+    let sched = &report.stats.sched;
+    assert!(
+        sched.place_micros > 0 && sched.place_micros >= sched.admit_micros,
+        "placement must show in the place stage: {sched:?}"
+    );
 }

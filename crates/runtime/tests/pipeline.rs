@@ -8,6 +8,7 @@ use coruscant_mem::{DbcLocation, FaultPlan, MemoryConfig, RowAddress};
 use coruscant_racetrack::FaultConfig;
 use coruscant_runtime::{
     ChainJob, HealthPolicy, Placement, ProgramSource, ProtectionPolicy, Runtime, RuntimeOptions,
+    WatchdogOptions,
 };
 
 fn eight_bank_config() -> MemoryConfig {
@@ -449,26 +450,38 @@ fn ack_wakeups_release_dependency_chains_promptly() {
     // after every ack, so each link of this chain must release in
     // microseconds — under lost-wakeup polling, every link would wait
     // out the full 50 ms pop timeout and a 40-deep chain would take
-    // two seconds or more.
+    // two seconds or more. The bound holds in every kind of session:
+    // default options, a (healthy) fault plan capping in-flight work,
+    // and the watchdog's bounded polling.
     let depth = 40usize;
-    let chain: Vec<ChainJob> = (0..depth)
-        .map(|i| ChainJob {
-            source: ProgramSource::Ready(add_job(i as u64, 1)),
-            placement: Placement::Auto,
-            after: if i == 0 { vec![] } else { vec![i - 1] },
-        })
-        .collect();
-    let runtime = Runtime::new(eight_bank_config(), RuntimeOptions::default()).unwrap();
-    let begin = std::time::Instant::now();
-    let ids = runtime.submit_chain(chain).expect("chain accepted");
-    let report = runtime.finish().expect("chain drains");
-    let elapsed = begin.elapsed();
-    assert_eq!(report.outcomes.len(), depth);
-    for id in ids {
-        assert!(report.outcomes.iter().any(|o| o.job_id == id));
+    let paths = [
+        RuntimeOptions::default(),
+        RuntimeOptions::default().with_faults(FaultPlan::healthy(7)),
+        RuntimeOptions::default().with_watchdog(WatchdogOptions {
+            enabled: true,
+            ..WatchdogOptions::default()
+        }),
+    ];
+    for options in paths {
+        let chain: Vec<ChainJob> = (0..depth)
+            .map(|i| ChainJob {
+                source: ProgramSource::Ready(add_job(i as u64, 1)),
+                placement: Placement::Auto,
+                after: if i == 0 { vec![] } else { vec![i - 1] },
+            })
+            .collect();
+        let runtime = Runtime::new(eight_bank_config(), options).unwrap();
+        let begin = std::time::Instant::now();
+        let ids = runtime.submit_chain(chain).expect("chain accepted");
+        let report = runtime.finish().expect("chain drains");
+        let elapsed = begin.elapsed();
+        assert_eq!(report.outcomes.len(), depth);
+        for id in ids {
+            assert!(report.outcomes.iter().any(|o| o.job_id == id));
+        }
+        assert!(
+            elapsed < std::time::Duration::from_millis(1_500),
+            "a {depth}-deep chain drained in {elapsed:?}; ack wakeups must not poll"
+        );
     }
-    assert!(
-        elapsed < std::time::Duration::from_millis(1_500),
-        "a {depth}-deep chain drained in {elapsed:?}; ack wakeups must not poll"
-    );
 }

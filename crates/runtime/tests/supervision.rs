@@ -9,6 +9,7 @@ use coruscant_runtime::{
     install_quiet_hook, ChaosAction, ChaosPlan, CrossingPoint, JobNotice, Placement, Runtime,
     RuntimeError, RuntimeOptions, SuperviseOptions, WatchdogOptions,
 };
+use serde::json::Value;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -221,4 +222,112 @@ fn hung_jobs_abandon_with_hung_flag() {
         .filter(|n| matches!(n, JobNotice::Abandoned { hung: true, .. }))
         .count();
     assert!(hung_notices >= 1, "at least one abandonment was typed hung");
+}
+
+/// The `key` member of a JSON object.
+fn member<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
+    match value {
+        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// A worker panic in a session with no fault plan, protection policy,
+/// watchdog or chaos plan — one whose in-flight cap is off. The shard's
+/// work is re-placed from the scheduler's in-flight records and issued
+/// under fresh seqs: nothing issues to the shard while it is down, the
+/// panicking job is abandoned once its crash-retry budget is spent, and
+/// every other job completes with its exact output.
+#[test]
+fn plain_session_recovers_from_a_worker_panic() {
+    // A zero lane width trips `Row::unpack`'s assertion inside the
+    // worker.
+    let poison = PimProgram {
+        steps: vec![Step::Readout {
+            label: "row".into(),
+            addr: RowAddress::new(DbcLocation::new(0, 0, 0, 0), 4),
+            lane: 0,
+        }],
+    };
+    let path = std::env::temp_dir().join(format!(
+        "coruscant_plain_panic_{}.jsonl",
+        std::process::id()
+    ));
+    let (tx, rx) = mpsc::channel::<JobNotice>();
+    let runtime = Runtime::new(
+        four_bank_config(),
+        RuntimeOptions {
+            trace_path: Some(path.clone()),
+            ..RuntimeOptions::default()
+        }
+        .with_shards(2)
+        .with_notify(tx)
+        .with_supervise(SuperviseOptions {
+            backoff_base_ms: 1,
+            ..SuperviseOptions::default()
+        }),
+    )
+    .expect("runtime starts");
+    // Unit 0 is bank 0, owned by shard 0: every attempt crashes shard 0.
+    let bad = runtime.submit(poison, Placement::Unit(0)).unwrap();
+    let good: Vec<(u64, u64)> = (0..48)
+        .map(|tag| (runtime.submit(add_job(tag), Placement::Auto).unwrap(), tag))
+        .collect();
+    let report = runtime
+        .finish()
+        .expect("a recovered crash does not fail the session");
+
+    let sup = report.stats.supervision;
+    let retries = u64::from(SuperviseOptions::default().max_job_retries);
+    assert_eq!(sup.panics_caught, retries + 1, "one crash per attempt");
+    assert_eq!(sup.abandoned_jobs, 1, "only the panicking job is given up");
+    assert!(
+        sup.shard_restarts >= retries,
+        "shard 0 came back for each retry"
+    );
+    assert_eq!(sup.shards_retired, 0);
+    assert!(rx
+        .try_iter()
+        .any(|n| matches!(n, JobNotice::Abandoned { job_id, hung: false } if job_id == bad)));
+    assert!(report.outcomes.iter().all(|o| o.job_id != bad));
+    for (id, tag) in &good {
+        let outcome = report
+            .outcomes
+            .iter()
+            .find(|o| o.job_id == *id)
+            .unwrap_or_else(|| panic!("job {id} completed"));
+        assert_eq!(outcome.outputs[0].1, vec![tag + 9; 8]);
+    }
+
+    // The trace shows the recovery: issues skip shard 0 while it is
+    // down, and every re-issue is a crash re-placement.
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let number = |event: &Value, key: &str| member(event, key).unwrap().as_u64().unwrap();
+    let mut down = false;
+    let mut issues = 0u64;
+    let mut issued_jobs = std::collections::HashSet::new();
+    for line in text.lines() {
+        let event = serde::json::parse(line).unwrap();
+        if let Some(e) = member(&event, "ShardDown") {
+            assert_eq!(number(e, "shard"), 0);
+            down = true;
+        } else if member(&event, "ShardRestart").is_some() {
+            down = false;
+        } else if let Some(e) = member(&event, "Issue") {
+            assert!(
+                !(down && number(e, "shard") == 0),
+                "issued to shard 0 while it was down"
+            );
+            issues += 1;
+            issued_jobs.insert(number(e, "job"));
+        }
+    }
+    assert_eq!(issued_jobs.len(), good.len() + 1);
+    assert_eq!(
+        sup.crash_redispatches,
+        issues - issued_jobs.len() as u64,
+        "crash_redispatches counts every re-issue: the crashed job's retries plus orphans"
+    );
+    assert!(sup.crash_redispatches >= retries);
 }
