@@ -1,8 +1,8 @@
 //! Emits `BENCH_runtime.json`: the cross-job-optimization perf
 //! trajectory — host throughput over a shards × cache × batch grid, the
 //! 10k-job repeated-query compile-time campaign, and the scheduler-
-//! scaling sweep (classic vs parallel engines at 1/2/4/8 shards over
-//! 1k- and 10k-job streams) with the gated 8v1 capacity ratio.
+//! scaling sweep (1/2/4/8 shards over 1k- and 10k-job streams) with the
+//! gated 8v1 capacity ratio.
 //!
 //! Usage:
 //!
@@ -10,7 +10,7 @@
 //!   [output-path]` — full bench (default `BENCH_runtime.json` in the
 //!   working directory).
 //! * `... --bin bench_runtime -- --smoke` — CI perf-smoke gate only:
-//!   best-of-3 parallel runs at 1 and 8 domains; exits nonzero unless
+//!   best-of-3 runs at 1 and 8 shards; exits nonzero unless
 //!   the 8v1 capacity ratio is at least 3×.
 
 use coruscant_bench::{header, runtime_perf, times};
@@ -38,10 +38,10 @@ fn eight_bank_config() -> MemoryConfig {
 }
 
 fn print_smoke(smoke: &runtime_perf::PerfSmoke) {
-    header("Parallel-scaling perf smoke (capacity = jobs / busiest-thread CPU)");
+    header("Scheduler-scaling perf smoke (capacity = jobs / busiest-thread CPU)");
     println!(
-        "host cores {} | {} jobs, best of {} | capacity 1 domain {:.0}/s, \
-         8 domains {:.0}/s -> {} (wall ratio {:.2})",
+        "host cores {} | {} jobs, best of {} | capacity 1 shard {:.0}/s, \
+         8 shards {:.0}/s -> {} (wall ratio {:.2})",
         smoke.host_cores,
         smoke.jobs,
         smoke.best_of,
@@ -111,19 +111,17 @@ fn main() {
 
     header("Scheduler-scaling sweep (capacity = jobs / busiest-thread CPU)");
     println!(
-        "{:<10} {:<7} {:>7} {:>11} {:>13} {:>6} {:>7} {:>20}",
-        "mode", "shards", "jobs", "wall j/s", "capacity j/s", "occ%", "steals", "stage% p/a/pl/d/k"
+        "{:<7} {:>7} {:>11} {:>13} {:>6} {:>20}",
+        "shards", "jobs", "wall j/s", "capacity j/s", "occ%", "stage% p/a/pl/d/k"
     );
     for p in &bench.scaling {
         println!(
-            "{:<10} {:<7} {:>7} {:>11.0} {:>13.0} {:>6.1} {:>7} {:>4.0}/{:.0}/{:.0}/{:.0}/{:.0}",
-            p.mode,
+            "{:<7} {:>7} {:>11.0} {:>13.0} {:>6.1} {:>4.0}/{:.0}/{:.0}/{:.0}/{:.0}",
             p.shards,
             p.jobs,
             p.jobs_per_sec,
             p.capacity_jobs_per_sec,
             p.occupancy_pct,
-            p.steals,
             p.stage_pct.pop,
             p.stage_pct.admit,
             p.stage_pct.place,

@@ -9,8 +9,7 @@
 
 use coruscant_mem::{MemoryConfig, MemoryController};
 use coruscant_runtime::{
-    BatchOptions, CacheOptions, Placement, Runtime, RuntimeOptions, RuntimeReport, SchedMode,
-    SchedStats,
+    BatchOptions, CacheOptions, Placement, Runtime, RuntimeOptions, RuntimeReport, SchedStats,
 };
 use coruscant_workloads::bitmap::BitmapDataset;
 use coruscant_workloads::compile::PimProgram;
@@ -65,13 +64,13 @@ pub struct RepeatedQueryCampaign {
 /// summed stage micros.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct StagePct {
-    /// Submission-queue pops (and steal sweeps, parallel mode).
+    /// Submission-queue pops.
     pub pop: f64,
     /// Admission: compile-cache front, gating, chain admission.
     pub admit: f64,
     /// Placement resolution and program retargeting.
     pub place: f64,
-    /// Batching, splicing, and dispatch (inline execution, parallel mode).
+    /// Batching, splicing, and dispatch.
     pub dispatch: f64,
     /// Completion-ack draining and bookkeeping.
     pub ack: f64,
@@ -94,13 +93,11 @@ impl StagePct {
     }
 }
 
-/// One cell of the scheduler-scaling sweep: a mode × shards × jobs run
-/// with its wall throughput and its preemption-independent capacity.
+/// One cell of the scheduler-scaling sweep: a shards × jobs run with
+/// its wall throughput and its preemption-independent capacity.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalePoint {
-    /// Scheduling engine: `"classic"` or `"parallel"`.
-    pub mode: String,
-    /// Shards (classic workers, or parallel scheduler domains).
+    /// Worker shards.
     pub shards: usize,
     /// Jobs served.
     pub jobs: u64,
@@ -115,19 +112,17 @@ pub struct ScalePoint {
     pub capacity_jobs_per_sec: f64,
     /// Busiest single thread's CPU busy time, microseconds.
     pub busy_micros: u64,
-    /// Busiest thread's busy share of the engine's wall, percent.
+    /// Busiest thread's busy share of the scheduler's wall, percent.
     pub occupancy_pct: f64,
-    /// Submissions moved between domains by work-stealing.
-    pub steals: u64,
-    /// Dispatches each shard/domain issued.
+    /// Dispatches issued to each shard.
     pub per_shard_issued: Vec<u64>,
-    /// Member jobs each shard/domain completed.
+    /// Member jobs issued to each shard.
     pub per_shard_jobs: Vec<u64>,
     /// Where the scheduling hot path spent its stage time.
     pub stage_pct: StagePct,
 }
 
-/// The perf-smoke summary: the 8-domain vs 1-domain parallel scaling
+/// The perf-smoke summary: the 8-shard vs 1-shard scheduler scaling
 /// ratio CI gates on, measured best-of-N on the capacity metric.
 #[derive(Debug, Clone, Serialize)]
 pub struct PerfSmoke {
@@ -140,9 +135,9 @@ pub struct PerfSmoke {
     pub jobs: u64,
     /// Runs per arm; each arm keeps its best capacity.
     pub best_of: usize,
-    /// Best 1-domain parallel capacity, jobs/sec.
+    /// Best 1-shard capacity, jobs/sec.
     pub capacity_1: f64,
-    /// Best 8-domain parallel capacity, jobs/sec.
+    /// Best 8-shard capacity, jobs/sec.
     pub capacity_8: f64,
     /// `capacity_8 / capacity_1` — the gated scaling ratio.
     pub capacity_ratio_8v1: f64,
@@ -164,9 +159,9 @@ pub struct RuntimeBench {
     pub grid: Vec<GridPoint>,
     /// The compile-time campaign.
     pub repeated_query: RepeatedQueryCampaign,
-    /// The mode × shards × jobs scheduler-scaling sweep.
+    /// The shards × jobs scheduler-scaling sweep.
     pub scaling: Vec<ScalePoint>,
-    /// The gated parallel-scaling summary.
+    /// The gated scheduler-scaling summary.
     pub perf_smoke: PerfSmoke,
 }
 
@@ -312,7 +307,7 @@ pub fn repeated_query_campaign(config: &MemoryConfig, jobs: u64) -> RepeatedQuer
 
 /// A job stream of exactly `jobs` programs: the dataset's chunk
 /// programs cycled until the count is met (all submitted `Auto`, so the
-/// parallel router round-robins them and work-stealing stays legal).
+/// circular placement cursor spreads them over every bank).
 fn scaling_stream(config: &MemoryConfig, jobs: usize) -> Vec<PimProgram> {
     let ds = BitmapDataset::generate(4_000, 3, 11);
     let chunks = compile_bitmap_query_with(&ds, 3, config, QueryPlan::PairwiseChain)
@@ -320,24 +315,16 @@ fn scaling_stream(config: &MemoryConfig, jobs: usize) -> Vec<PimProgram> {
     chunks.iter().cloned().cycle().take(jobs).collect()
 }
 
-/// Runs one scaling cell: `jobs` Auto submissions through the chosen
-/// engine at the chosen shard count.
+/// Runs one scaling cell: `jobs` Auto submissions at the chosen shard
+/// count.
 #[must_use]
-pub fn scale_point(
-    config: &MemoryConfig,
-    programs: &[PimProgram],
-    mode: SchedMode,
-    shards: usize,
-) -> ScalePoint {
+pub fn scale_point(config: &MemoryConfig, programs: &[PimProgram], shards: usize) -> ScalePoint {
     let placements = vec![Placement::Auto; programs.len()];
-    let options = RuntimeOptions::default()
-        .with_shards(shards)
-        .with_sched_mode(mode);
+    let options = RuntimeOptions::default().with_shards(shards);
     let (report, wall_ms) = run_session(config, programs, &placements, options);
     let sched = &report.stats.sched;
     let jobs = report.stats.jobs;
     ScalePoint {
-        mode: sched.mode.clone(),
         shards,
         jobs,
         wall_ms,
@@ -349,15 +336,13 @@ pub fn scale_point(
         },
         busy_micros: sched.busy_micros,
         occupancy_pct: sched.occupancy_pct,
-        steals: sched.steals,
         per_shard_issued: sched.per_domain.iter().map(|d| d.issued).collect(),
         per_shard_jobs: sched.per_domain.iter().map(|d| d.jobs).collect(),
         stage_pct: StagePct::of(sched),
     }
 }
 
-/// The scheduler-scaling sweep: both engines at every shard count, at
-/// every job count.
+/// The scheduler-scaling sweep: every shard count at every job count.
 #[must_use]
 pub fn scaling_sweep(
     config: &MemoryConfig,
@@ -367,23 +352,21 @@ pub fn scaling_sweep(
     let mut points = Vec::new();
     for &jobs in jobs_counts {
         let programs = scaling_stream(config, jobs);
-        for mode in [SchedMode::Classic, SchedMode::Parallel] {
-            for &s in shards {
-                points.push(scale_point(config, &programs, mode, s));
-            }
+        for &s in shards {
+            points.push(scale_point(config, &programs, s));
         }
     }
     points
 }
 
-/// The gated perf-smoke measurement: best-of-`best_of` parallel runs at
-/// 1 and at 8 domains, compared on the capacity metric.
+/// The gated perf-smoke measurement: best-of-`best_of` runs at 1 and at
+/// 8 shards, compared on the capacity metric.
 #[must_use]
 pub fn perf_smoke(config: &MemoryConfig, jobs: usize, best_of: usize) -> PerfSmoke {
     let programs = scaling_stream(config, jobs);
     let best_arm = |shards: usize| -> ScalePoint {
         (0..best_of.max(1))
-            .map(|_| scale_point(config, &programs, SchedMode::Parallel, shards))
+            .map(|_| scale_point(config, &programs, shards))
             .max_by(|a, b| a.capacity_jobs_per_sec.total_cmp(&b.capacity_jobs_per_sec))
             .expect("at least one run")
     };
@@ -392,7 +375,7 @@ pub fn perf_smoke(config: &MemoryConfig, jobs: usize, best_of: usize) -> PerfSmo
     PerfSmoke {
         metric: "capacity_jobs_per_sec = jobs / busiest-thread busy CPU time; \
                  thread CPU time excludes preemption, so the 8v1 ratio measures \
-                 serial-bottleneck scaling even on hosts with fewer cores than domains"
+                 serial-bottleneck scaling even on hosts with fewer cores than shards"
             .into(),
         host_cores: host_cores(),
         jobs: one.jobs,
@@ -471,9 +454,9 @@ mod tests {
             "warm submits must be cheaper: {:?}",
             bench.repeated_query
         );
-        // Scaling sweep: both engines at both shard counts, one jobs
-        // count, every cell serving the whole stream.
-        assert_eq!(bench.scaling.len(), 4);
+        // Scaling sweep: both shard counts, one jobs count, every cell
+        // serving the whole stream.
+        assert_eq!(bench.scaling.len(), 2);
         for point in &bench.scaling {
             assert_eq!(point.jobs, 200, "{point:?}");
             assert!(point.capacity_jobs_per_sec > 0.0, "{point:?}");

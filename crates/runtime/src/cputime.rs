@@ -1,7 +1,7 @@
 //! Per-thread CPU-time measurement for the scheduler-occupancy profile.
 //!
 //! Busy-time accounting must survive oversubscribed hosts: when more
-//! domain threads run than cores exist, wall-clock spans include time
+//! worker threads run than cores exist, wall-clock spans include time
 //! the thread spent *descheduled*, which would inflate every thread's
 //! "busy" figure toward the session wall and flatten any scaling
 //! metric built on it. Thread CPU time measures work actually done,

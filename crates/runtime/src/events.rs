@@ -170,16 +170,6 @@ pub enum Event {
         /// The budget that was exceeded, in microseconds.
         budget_us: u64,
     },
-    /// An idle parallel-scheduling domain stole queued submissions from
-    /// a sibling domain's injector.
-    Steal {
-        /// Domain the submissions were taken from.
-        from: usize,
-        /// Domain that took (and will place) them.
-        to: usize,
-        /// Job ids moved, in queue order.
-        jobs: Vec<u64>,
-    },
     /// A program fingerprint crossed the poison-quarantine threshold;
     /// further submissions of it are refused at admission.
     PoisonQuarantine {

@@ -42,10 +42,9 @@ pub struct PimJob {
     /// Requested placement.
     pub placement: Placement,
     /// Absolute queueing deadline. Under the EDF issue policy it drives
-    /// the within-bank issue order; in every engine a job found past
-    /// its deadline at issue time is dropped as expired instead of
-    /// being dispatched. `None` means no deadline (sorts last under
-    /// EDF, never expires).
+    /// the within-bank issue order; a job found past its deadline at
+    /// issue time is dropped as expired instead of being dispatched.
+    /// `None` means no deadline (sorts last under EDF, never expires).
     pub deadline: Option<Instant>,
 }
 

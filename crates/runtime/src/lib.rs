@@ -96,7 +96,7 @@ use health::Transition;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -234,33 +234,6 @@ impl BatchOptions {
     }
 }
 
-/// Which scheduling engine drives the session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// One scheduler thread (`classic_loop`) feeding worker shards
-    /// over channels, with ack-driven dependency release, bank health,
-    /// and shard recovery. This is the determinism baseline: in a
-    /// session that is not resilient (no fault plan, protection,
-    /// watchdog, or active chaos plan) issue is ungated, so with
-    /// batching off reports are bit-identical across runs and shard
-    /// counts.
-    #[default]
-    Classic,
-    /// Sharded scheduling with merged accounting: each of `shards` fused
-    /// scheduler+executor domains owns the banks `bank % shards == d`
-    /// (its own FIFOs, placement cursor, batch splicer, and injector
-    /// queue), executes dispatches inline, and pushes completions into a
-    /// per-domain ring that [`Runtime::finish`] merges and replays
-    /// through one [`MemoryController`] — so `RuntimeStats` and the
-    /// event-trace `Complete` records stay exactly as accounted on the
-    /// classic path. Idle domains steal [`Placement::Auto`] submissions
-    /// from sibling injectors. Produces the same *set* of per-job
-    /// outcomes as classic (not the same seqs/banks); rejects dependency
-    /// chains, resident pins, the watchdog, and chaos stall injection
-    /// with [`RuntimeError::Config`].
-    Parallel,
-}
-
 /// Runtime configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
@@ -318,12 +291,9 @@ pub struct RuntimeOptions {
     /// resilient (see [`RuntimeOptions::health`]); `None` (or a quiet
     /// plan) leaves the deterministic path untouched.
     pub chaos: Option<ChaosPlan>,
-    /// Which scheduling engine runs the session (see [`SchedMode`]).
-    /// Classic by default.
-    pub sched: SchedMode,
     /// Within-bank issue order (see [`IssuePolicy`]). FIFO by default;
     /// [`IssuePolicy::Edf`] issues earliest-deadline-first with
-    /// arrival-order tie-breaking, in every engine.
+    /// arrival-order tie-breaking.
     pub issue_policy: IssuePolicy,
 }
 
@@ -345,7 +315,6 @@ impl Default for RuntimeOptions {
             supervise: SuperviseOptions::default(),
             watchdog: WatchdogOptions::default(),
             chaos: None,
-            sched: SchedMode::Classic,
             issue_policy: IssuePolicy::default(),
         }
     }
@@ -449,13 +418,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn with_chaos(mut self, chaos: ChaosPlan) -> RuntimeOptions {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Options with a given scheduling engine, defaults elsewhere.
-    #[must_use]
-    pub fn with_sched_mode(mut self, sched: SchedMode) -> RuntimeOptions {
-        self.sched = sched;
         self
     }
 
@@ -676,7 +638,6 @@ struct SchedProfile {
 }
 
 /// What the scheduler thread hands back on shutdown.
-#[derive(Default)]
 struct SchedulerOutput {
     depth_hist: Histogram,
     issued: u64,
@@ -709,18 +670,6 @@ struct SchedulerOutput {
     /// Scheduler-occupancy counters (stage busy CPU micros, per-shard
     /// issue counts).
     profile: SchedProfile,
-}
-
-/// What either scheduling engine hands `finish` once fully drained:
-/// the merged scheduler output, the completion stream sorted by seq,
-/// the assembled supervision counters, and the occupancy profile. The
-/// replay and stats assembly downstream are engine-agnostic — that is
-/// the "merged accounting" half of sharded scheduling.
-struct DrainedSession {
-    sched_out: SchedulerOutput,
-    completions: Vec<DoneMsg>,
-    supervision: SupervisionStats,
-    sched_stats: SchedStats,
 }
 
 /// The pause gate the scheduler waits on before it starts draining the
@@ -889,626 +838,6 @@ pub struct RuntimeReport {
     pub stats: RuntimeStats,
 }
 
-/// The parallel scheduling engine's handle-side state: one injector
-/// queue, completion ring, and joinable domain thread per shard, plus
-/// the submission router's cursor and unit→bank map.
-struct ParEngine {
-    domains: usize,
-    dispatch: DispatchMode,
-    /// Per-domain submission injectors (domain `d` owns `injectors[d]`;
-    /// siblings steal `Placement::Auto` entries from it when idle).
-    injectors: Vec<Arc<JobQueue<Submission>>>,
-    /// Per-domain completion rings, drained and merged by `finish`.
-    rings: Vec<Arc<Mutex<Vec<DoneMsg>>>>,
-    handles: Vec<JoinHandle<DomainOutput>>,
-    /// Round-robin router cursor for `Placement::Auto` submissions.
-    route_cursor: AtomicUsize,
-    /// Bank of each PIM unit index (routes `Placement::Unit` to the
-    /// owning domain).
-    unit_banks: Vec<usize>,
-}
-
-impl ParEngine {
-    /// The domain a submission must route to. Placement-pinned jobs go
-    /// to the domain owning their bank (they are not stealable);
-    /// `Placement::Auto` round-robins across domains and stays stealable.
-    fn route(&self, placement: Placement) -> usize {
-        match placement {
-            Placement::Auto => match self.dispatch {
-                DispatchMode::Circular => {
-                    self.route_cursor.fetch_add(1, Ordering::Relaxed) % self.domains
-                }
-                DispatchMode::SingleBank => self.unit_banks[0] % self.domains,
-            },
-            Placement::Unit(idx) => self.unit_banks[idx % self.unit_banks.len()] % self.domains,
-            Placement::Fixed(loc) => loc.bank % self.domains,
-            // Unknown residency (pins are rejected under Parallel): any
-            // domain drops it as cascaded, exactly like classic.
-            Placement::Resident(_) => 0,
-        }
-    }
-}
-
-/// Submissions a domain admits per loop iteration. Bounded so the rest
-/// of a burst stays in the injector where idle siblings can steal it.
-const ADMIT_CHUNK: usize = 32;
-/// Most submissions one steal sweep takes from a sibling's injector.
-const STEAL_MAX: usize = 16;
-/// Completions buffered domain-locally before flushing to the shared
-/// ring (one lock crossing per `RING_FLUSH` dispatches, not per job).
-const RING_FLUSH: usize = 64;
-
-/// Everything a parallel scheduling domain thread needs at spawn.
-struct DomainCtx {
-    domain: usize,
-    domains: usize,
-    config: MemoryConfig,
-    /// All domains' injectors: `injectors[domain]` is this domain's own;
-    /// the rest are steal victims.
-    injectors: Vec<Arc<JobQueue<Submission>>>,
-    /// This domain's completion ring, merged by `finish`.
-    ring: Arc<Mutex<Vec<DoneMsg>>>,
-    gate: Arc<Gate>,
-    trace: Option<Arc<EventTrace>>,
-    canceller: Canceller,
-    notify: Option<mpsc::Sender<JobNotice>>,
-    dispatch: DispatchMode,
-    issue_policy: IssuePolicy,
-    protection: ProtectionPolicy,
-    faults: Option<FaultPlan>,
-    batch: BatchOptions,
-    compile: CompileOptions,
-    chaos: Option<ChaosPlan>,
-    max_redispatch: u32,
-    max_job_retries: u32,
-}
-
-/// What a domain thread hands back on join: its share of every counter
-/// `finish` merges, plus its occupancy profile.
-#[derive(Default)]
-struct DomainOutput {
-    domain: usize,
-    depth_hist: Histogram,
-    issued: u64,
-    batches: u64,
-    batched_jobs: u64,
-    splice_hits: u64,
-    splice_misses: u64,
-    cancelled: u64,
-    /// Jobs dropped at issue time because their deadline had passed.
-    expired: u64,
-    redispatches: u64,
-    /// Jobs dropped for an unknown residency or a defensively rejected
-    /// chain/pin (counted with the cascades).
-    dropped: u64,
-    /// Member jobs this domain dispatched (batch members counted
-    /// individually).
-    jobs_done: u64,
-    steals: u64,
-    ring_peak: u64,
-    panics: u64,
-    crash_redispatches: u64,
-    abandoned_jobs: u64,
-    pop_micros: u64,
-    admit_micros: u64,
-    place_micros: u64,
-    dispatch_micros: u64,
-    ack_micros: u64,
-    busy_micros: u64,
-    wall_micros: u64,
-}
-
-/// One fused scheduler+executor domain of the parallel engine. Owns the
-/// banks `b` with `b % domains == domain`, a strided-seq
-/// [`BankScheduler`] over them, and a persistent [`PimMachine`] it
-/// executes dispatches on inline — completions become function calls,
-/// not channel crossings.
-struct Domain {
-    ctx: DomainCtx,
-    units: MemoryController,
-    unit_count: usize,
-    /// PIM units on owned banks, in global circular order.
-    owned_units: Vec<DbcLocation>,
-    owned_cursor: usize,
-    sched: BankScheduler,
-    machine: PimMachine,
-    voter: Option<(NmrVoter, Dbc)>,
-    compiler: Compiler,
-    splice_cache: Option<BatchCache>,
-    /// Verification re-dispatch count per job id.
-    redispatched: HashMap<u64, u32>,
-    /// Crash (chaos-panic) re-placement count per job id.
-    crash_retries: HashMap<u64, u32>,
-    ring_buf: Vec<DoneMsg>,
-    out: DomainOutput,
-}
-
-/// Body of one parallel domain thread.
-fn domain_loop(ctx: DomainCtx) -> DomainOutput {
-    ctx.gate.wait_open();
-    let units = MemoryController::new(ctx.config.clone());
-    let unit_count = units.pim_unit_count();
-    let owned_units: Vec<DbcLocation> = (0..unit_count)
-        .map(|i| units.pim_unit(i))
-        .filter(|u| u.bank % ctx.domains == ctx.domain)
-        .collect();
-    let machine = match ctx.faults.clone() {
-        Some(plan) => PimMachine::with_faults(ctx.config.clone(), plan),
-        None => PimMachine::new(ctx.config.clone()),
-    };
-    let voter = match ctx.protection {
-        ProtectionPolicy::Nmr { .. } => {
-            Some((NmrVoter::new(&ctx.config), Dbc::pim_enabled(&ctx.config)))
-        }
-        _ => None,
-    };
-    let compiler = Compiler::new(ctx.config.clone(), &ctx.compile);
-    let splice_cache = ctx.batch.splice_cache();
-    // Strided seqs: domain d issues d, d+S, d+2S, … — globally unique,
-    // so `finish` restores one total issue order with a plain sort.
-    let sched =
-        BankScheduler::with_seq_stride(ctx.config.banks, ctx.domain as u64, ctx.domains as u64)
-            .with_policy(ctx.issue_policy);
-    let out = DomainOutput {
-        domain: ctx.domain,
-        ..DomainOutput::default()
-    };
-    let mut dom = Domain {
-        units,
-        unit_count,
-        owned_units,
-        owned_cursor: 0,
-        sched,
-        machine,
-        voter,
-        compiler,
-        splice_cache,
-        redispatched: HashMap::new(),
-        crash_retries: HashMap::new(),
-        ring_buf: Vec::new(),
-        out,
-        ctx,
-    };
-    dom.run();
-    let mut out = dom.out;
-    out.depth_hist = dom.sched.depth_histogram().clone();
-    out.cancelled = dom.ctx.canceller.cancelled;
-    out.expired = dom.ctx.canceller.expired;
-    let (hits, misses) = dom.splice_cache.as_ref().map_or((0, 0), BatchCache::counts);
-    out.splice_hits = hits;
-    out.splice_misses = misses;
-    out.busy_micros = out.admit_micros + out.place_micros + out.dispatch_micros + out.ack_micros;
-    out
-}
-
-impl Domain {
-    fn run(&mut self) {
-        let wall_start = Instant::now();
-        let mut clock = cputime::StageClock::start();
-        let mut drained: Vec<Submission> = Vec::new();
-        let mut ready: Vec<PimJob> = Vec::new();
-        let mut closed = false;
-        loop {
-            // 1. Pop a bounded chunk from our own injector. Bounded, not
-            //    a full drain: the remainder stays in the injector where
-            //    idle siblings can steal it.
-            if !closed {
-                let wait = if self.sched.pending() > 0 {
-                    Duration::ZERO
-                } else {
-                    self.idle_wait()
-                };
-                match self.ctx.injectors[self.ctx.domain].pop_timeout(wait) {
-                    Pop::Item(first) => {
-                        drained.push(first);
-                        while drained.len() < ADMIT_CHUNK {
-                            match self.ctx.injectors[self.ctx.domain].pop_timeout(Duration::ZERO) {
-                                Pop::Item(s) => drained.push(s),
-                                _ => break,
-                            }
-                        }
-                    }
-                    Pop::Timeout => {}
-                    Pop::Closed => closed = true,
-                }
-            }
-            // 2. Steal when idle: nothing admitted, nothing queued on our
-            //    banks. (Also the termination probe: after close, a final
-            //    sweep must come up empty before the domain may exit.)
-            if drained.is_empty() && self.sched.pending() == 0 {
-                self.steal_sweep(&mut drained);
-                if closed && drained.is_empty() {
-                    break;
-                }
-            }
-            self.out.pop_micros += clock.lap();
-
-            // 3. Admit: mirror the classic scheduler's admit-time chaos
-            //    delay, then filter cancellations at placement below.
-            for submission in drained.drain(..) {
-                match submission {
-                    Submission::Job(job) => {
-                        if let Some(plan) = self.ctx.chaos {
-                            if matches!(
-                                plan.decide(CrossingPoint::SchedulerAdmit, job.id, 0),
-                                ChaosAction::Delay
-                            ) {
-                                std::thread::sleep(Duration::from_micros(plan.delay_us));
-                            }
-                        }
-                        ready.push(job);
-                    }
-                    // Chains and pins are rejected at submit under
-                    // SchedMode::Parallel; drop defensively if one ever
-                    // slips through, exactly like an unknown residency.
-                    Submission::Chain(chain) => {
-                        for gated in chain {
-                            self.out.dropped += 1;
-                            self.ctx.canceller.drop_cascaded(gated.id);
-                        }
-                    }
-                    Submission::Pin { job, .. } => {
-                        self.out.dropped += 1;
-                        self.ctx.canceller.drop_cascaded(job.id);
-                    }
-                }
-            }
-            self.out.admit_micros += clock.lap();
-
-            // 4. Place onto owned banks.
-            for job in ready.drain(..) {
-                if self.ctx.canceller.armed() && self.ctx.canceller.drop_if_cancelled(job.id) {
-                    continue;
-                }
-                self.place(job);
-            }
-            self.out.place_micros += clock.lap();
-
-            // 5. Issue and execute inline until the owned FIFOs drain
-            //    (re-dispatches re-enter them and are picked up here).
-            let max_jobs = self.ctx.batch.cap();
-            let grouping = self.ctx.batch.grouping;
-            while let Some(mut issue) =
-                self.sched
-                    .issue_next_batch_grouped(max_jobs, grouping, |_| true)
-            {
-                self.ctx.canceller.filter_issue(&mut issue.jobs);
-                self.ctx.canceller.filter_expired(&mut issue.jobs);
-                if issue.jobs.is_empty() {
-                    continue;
-                }
-                self.execute_dispatch(issue, &mut clock);
-            }
-        }
-        self.flush_ring();
-        self.out.wall_micros = wall_start.elapsed().as_micros() as u64;
-    }
-
-    /// How long an idle domain's injector pop may sleep: short when a
-    /// sibling has stealable backlog (come back fast and take some),
-    /// the full classic timeout when the whole engine is quiet.
-    fn idle_wait(&self) -> Duration {
-        let sibling_backlog = self
-            .ctx
-            .injectors
-            .iter()
-            .enumerate()
-            .any(|(i, q)| i != self.ctx.domain && !q.is_empty());
-        if sibling_backlog {
-            Duration::from_millis(1)
-        } else {
-            Duration::from_millis(50)
-        }
-    }
-
-    /// Steals up to [`STEAL_MAX`] `Placement::Auto` jobs from the first
-    /// sibling injector that has any, re-placing them on our banks.
-    fn steal_sweep(&mut self, into: &mut Vec<Submission>) {
-        if self.ctx.domains == 1 {
-            return;
-        }
-        for off in 1..self.ctx.domains {
-            let victim = (self.ctx.domain + off) % self.ctx.domains;
-            let before = into.len();
-            let got = self.ctx.injectors[victim].steal_matching(
-                |s| matches!(s, Submission::Job(j) if matches!(j.placement, Placement::Auto)),
-                STEAL_MAX,
-                into,
-            );
-            if got > 0 {
-                self.out.steals += got as u64;
-                if let Some(trace) = &self.ctx.trace {
-                    let jobs: Vec<u64> = into[before..]
-                        .iter()
-                        .filter_map(|s| match s {
-                            Submission::Job(j) => Some(j.id),
-                            _ => None,
-                        })
-                        .collect();
-                    trace.record(&Event::Steal {
-                        from: victim,
-                        to: self.ctx.domain,
-                        jobs,
-                    });
-                }
-                return;
-            }
-        }
-    }
-
-    /// The next owned PIM unit in circular order, skipping `avoid`'s
-    /// bank when the domain owns an alternative.
-    fn pick_owned_unit(&mut self, avoid: Option<usize>) -> DbcLocation {
-        let n = self.owned_units.len();
-        for _ in 0..n {
-            let unit = self.owned_units[self.owned_cursor % n];
-            self.owned_cursor += 1;
-            if avoid == Some(unit.bank) && n > 1 {
-                continue;
-            }
-            return unit;
-        }
-        let unit = self.owned_units[self.owned_cursor % n];
-        self.owned_cursor += 1;
-        unit
-    }
-
-    /// Resolves a job's placement onto this domain's banks and enqueues
-    /// it. `Placement::Unit`/`Fixed` jobs were routed here because their
-    /// bank is owned; `Auto` jobs (routed or stolen) take the owned
-    /// cursor.
-    fn place(&mut self, job: PimJob) {
-        let (unit, program) = match job.placement {
-            Placement::Auto => {
-                let unit = match self.ctx.dispatch {
-                    DispatchMode::SingleBank => {
-                        // Mirror classic: everything on unit 0 — unless
-                        // this job was stolen and unit 0 isn't ours, in
-                        // which case stealing intentionally spreads it.
-                        let u0 = self.units.pim_unit(0);
-                        if u0.bank % self.ctx.domains == self.ctx.domain {
-                            u0
-                        } else {
-                            self.pick_owned_unit(None)
-                        }
-                    }
-                    DispatchMode::Circular => self.pick_owned_unit(None),
-                };
-                (unit, Arc::new(job.program.retarget(unit)))
-            }
-            Placement::Unit(idx) => {
-                let unit = self.units.pim_unit(idx % self.unit_count);
-                (unit, Arc::new(job.program.retarget(unit)))
-            }
-            Placement::Fixed(loc) => (loc, Arc::new(job.program.retarget(loc))),
-            Placement::Resident(_) => {
-                // Pins are rejected under Parallel, so every residency
-                // is unknown: drop as cascaded, exactly like classic.
-                self.out.dropped += 1;
-                self.ctx.canceller.drop_cascaded(job.id);
-                return;
-            }
-        };
-        self.sched.enqueue(
-            PimJob {
-                id: job.id,
-                program,
-                placement: job.placement,
-                deadline: job.deadline,
-            },
-            unit.bank,
-        );
-    }
-
-    /// Executes one issued dispatch inline on the domain's machine,
-    /// mirroring the classic worker's chaos crossing points and the
-    /// fault scheduler's attempt arithmetic — so a seeded chaos plan
-    /// draws identically in both modes.
-    fn execute_dispatch(&mut self, issue: IssuedBatch, clock: &mut cputime::StageClock) {
-        let IssuedBatch { seq, jobs, bank } = issue;
-        let program = batch_program_cached(&jobs, &self.compiler, &mut self.splice_cache);
-        let unit = program
-            .steps
-            .first()
-            .map_or_else(|| self.units.pim_unit(bank), Step::target);
-        if jobs.len() >= 2 {
-            self.out.batches += 1;
-            self.out.batched_jobs += jobs.len() as u64;
-            if let Some(trace) = &self.ctx.trace {
-                trace.record(&Event::Batch {
-                    seq,
-                    bank,
-                    jobs: jobs.iter().map(|j| j.id).collect(),
-                });
-            }
-        }
-        let slots: Vec<SlotMeta> = jobs
-            .iter()
-            .map(|j| SlotMeta {
-                job_id: j.id,
-                readouts: count_readouts(&j.program),
-                // Same attempt axis as the classic scheduler:
-                // verification re-dispatches plus crash re-placements.
-                attempt: self.redispatched.get(&j.id).copied().unwrap_or(0)
-                    + self.crash_retries.get(&j.id).copied().unwrap_or(0),
-            })
-            .collect();
-        if let Some(trace) = &self.ctx.trace {
-            for job in &jobs {
-                trace.record(&Event::Issue {
-                    job: job.id,
-                    seq,
-                    bank,
-                    shard: self.ctx.domain,
-                });
-            }
-        }
-        self.out.issued += 1;
-        self.out.jobs_done += jobs.len() as u64;
-
-        // Execute inline. Chaos can only fire at the two worker crossing
-        // points — before execution and after it — never mid-execution,
-        // so a caught panic leaves the persistent machine untouched.
-        let (chaos_job, chaos_attempt) = slots.first().map_or((0, 0), |s| (s.job_id, s.attempt));
-        let chaos = self.ctx.chaos;
-        let machine = &mut self.machine;
-        let voter = &mut self.voter;
-        let protection = self.ctx.protection;
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(plan) = chaos {
-                match plan.decide(CrossingPoint::WorkerStart, chaos_job, chaos_attempt) {
-                    ChaosAction::Panic => chaos::chaos_panic(),
-                    ChaosAction::Stall => {
-                        std::thread::sleep(Duration::from_millis(plan.stall_ms));
-                    }
-                    ChaosAction::Delay => {
-                        std::thread::sleep(Duration::from_micros(plan.delay_us));
-                    }
-                    ChaosAction::None => {}
-                }
-            }
-            let out = execute_protected(machine, protection, &program, voter.as_mut());
-            if let Some(plan) = chaos {
-                if matches!(
-                    plan.decide(CrossingPoint::WorkerReport, chaos_job, chaos_attempt),
-                    ChaosAction::Panic
-                ) {
-                    chaos::chaos_panic();
-                }
-            }
-            out
-        }));
-        self.out.dispatch_micros += clock.lap();
-        let Ok(out) = executed else {
-            // The attempt died exactly as a crashed worker's would have:
-            // every member retries on our banks within its budget.
-            self.out.panics += 1;
-            for job in jobs {
-                self.crash_retry_or_abandon(job);
-            }
-            self.out.ack_micros += clock.lap();
-            return;
-        };
-
-        // Completion bookkeeping — the moral equivalent of the classic
-        // ack path, as a function call. Demux members exactly as the
-        // worker does, coalesce their notices into one channel send,
-        // push the completion to the ring, and re-dispatch unverified
-        // members.
-        if let Some(notify) = &self.ctx.notify {
-            let batch = slots.len() as u32;
-            let protection_active = self.ctx.protection.is_active();
-            let mut cursor = 0usize;
-            let mut notices: Vec<JobNotice> = Vec::with_capacity(slots.len());
-            for slot in &slots {
-                let end = (cursor + slot.readouts).min(out.outputs.len());
-                let start = cursor.min(out.outputs.len());
-                cursor += slot.readouts;
-                notices.push(JobNotice::Attempt {
-                    job_id: slot.job_id,
-                    attempt: slot.attempt,
-                    bank: unit.bank,
-                    batch,
-                    outputs: out.outputs[start..end].to_vec(),
-                    error: out.error.clone(),
-                    verified: out.verified,
-                    protection_active,
-                    max_redispatch: self.ctx.max_redispatch,
-                });
-            }
-            // One channel send per dispatch: a batched notice for multi-
-            // member dispatches, the plain notice otherwise.
-            let _ = if notices.len() == 1 {
-                notify.send(notices.pop().expect("one notice"))
-            } else {
-                notify.send(JobNotice::Batch(notices))
-            };
-        }
-        let verified = out.verified;
-        self.ring_push(DoneMsg {
-            seq,
-            unit,
-            slots,
-            outputs: out.outputs,
-            instr_costs: out.instr_costs,
-            error: out.error,
-            replicas: out.replicas,
-            faults_detected: out.faults_detected,
-            retries: out.retries,
-            votes_overturned: out.votes_overturned,
-            verified,
-        });
-        if self.ctx.protection.is_active() && !verified {
-            for member in jobs {
-                let count = self.redispatched.entry(member.id).or_insert(0);
-                if *count >= self.ctx.max_redispatch
-                    || matches!(member.placement, Placement::Fixed(_))
-                {
-                    continue;
-                }
-                *count += 1;
-                let next = *count;
-                self.out.redispatches += 1;
-                let unit = self.pick_owned_unit(Some(bank));
-                if let Some(trace) = &self.ctx.trace {
-                    trace.record(&Event::Redispatch {
-                        job: member.id,
-                        from_bank: bank,
-                        to_bank: unit.bank,
-                        attempt: next,
-                    });
-                }
-                self.sched.enqueue(
-                    PimJob {
-                        id: member.id,
-                        program: Arc::new(member.program.retarget(unit)),
-                        placement: member.placement,
-                        deadline: member.deadline,
-                    },
-                    unit.bank,
-                );
-            }
-        }
-        self.out.ack_micros += clock.lap();
-    }
-
-    /// Re-places one member whose attempt died in a chaos panic, bounded
-    /// by the crash-retry budget; over budget the job is abandoned with
-    /// a notice, exactly like classic supervision.
-    fn crash_retry_or_abandon(&mut self, member: PimJob) {
-        let retries = self.crash_retries.entry(member.id).or_insert(0);
-        if *retries < self.ctx.max_job_retries {
-            *retries += 1;
-            self.out.crash_redispatches += 1;
-            self.place(member);
-        } else {
-            self.out.abandoned_jobs += 1;
-            if let Some(tx) = &self.ctx.notify {
-                let _ = tx.send(JobNotice::Abandoned {
-                    job_id: member.id,
-                    hung: false,
-                });
-            }
-        }
-    }
-
-    fn ring_push(&mut self, msg: DoneMsg) {
-        self.ring_buf.push(msg);
-        if self.ring_buf.len() >= RING_FLUSH {
-            self.flush_ring();
-        }
-    }
-
-    fn flush_ring(&mut self) {
-        if self.ring_buf.is_empty() {
-            return;
-        }
-        let mut ring = sync::lock(&self.ctx.ring);
-        ring.append(&mut self.ring_buf);
-        self.out.ring_peak = self.out.ring_peak.max(ring.len() as u64);
-    }
-}
-
 /// The request-serving engine. Create with [`Runtime::new`], feed it with
 /// [`Runtime::submit`], and call [`Runtime::finish`] to drain, join the
 /// workers, and collect the report.
@@ -1517,16 +846,14 @@ pub struct Runtime {
     queue: Arc<JobQueue<Submission>>,
     next_id: Arc<AtomicU64>,
     next_res: AtomicU64,
-    // Classic-mode engine state (`None` under `SchedMode::Parallel`).
+    /// The scheduler thread; `finish` takes and joins it.
     scheduler: Option<JoinHandle<SchedulerOutput>>,
-    supervisor: Option<Arc<Supervisor<WorkMsg>>>,
+    supervisor: Arc<Supervisor<WorkMsg>>,
     // Behind a mutex only so `Runtime` stays `Sync` (an `mpsc::Receiver`
     // is not); `finish` takes it by value.
-    done_rx: Option<Mutex<mpsc::Receiver<DoneMsg>>>,
-    /// Per-shard worker busy CPU micros (classic mode; empty otherwise).
+    done_rx: Mutex<mpsc::Receiver<DoneMsg>>,
+    /// Per-shard worker busy CPU micros.
     worker_busy: Arc<Vec<AtomicU64>>,
-    // Parallel-mode engine state (`None` under `SchedMode::Classic`).
-    par: Option<ParEngine>,
     trace: Option<Arc<EventTrace>>,
     shards: usize,
     protection: ProtectionPolicy,
@@ -1562,9 +889,6 @@ impl Runtime {
         let fault_aware = options.fault_aware();
         if fault_aware {
             options.health.check().map_err(RuntimeError::Config)?;
-        }
-        if options.sched == SchedMode::Parallel {
-            return Runtime::new_parallel(config, options);
         }
         let resilient = options.resilient();
         let chaos = options.active_chaos();
@@ -1696,125 +1020,14 @@ impl Runtime {
             next_id,
             next_res: AtomicU64::new(0),
             scheduler: Some(scheduler),
-            supervisor: Some(supervisor),
-            done_rx: Some(Mutex::new(done_rx)),
+            supervisor,
+            done_rx: Mutex::new(done_rx),
             worker_busy,
-            par: None,
             trace,
             shards,
             protection: options.protection,
             supervise: options.supervise,
             poison,
-            compiler,
-            cache,
-            cancels,
-            gate,
-            optimized_jobs: AtomicU64::new(0),
-            instructions_eliminated: AtomicU64::new(0),
-            est_device_cycles_saved: AtomicU64::new(0),
-        })
-    }
-
-    /// Starts the sharded scheduling engine: one fused scheduler+executor
-    /// domain thread per shard, each owning `bank % shards == d` banks.
-    fn new_parallel(
-        config: MemoryConfig,
-        options: RuntimeOptions,
-    ) -> Result<Runtime, RuntimeError> {
-        if options.watchdog.enabled {
-            return Err(RuntimeError::Config(
-                "the execution watchdog requires SchedMode::Classic (inline domains \
-                 cannot be hung-scanned)"
-                    .into(),
-            ));
-        }
-        let chaos = options.active_chaos();
-        if let Some(plan) = chaos {
-            if plan.stall_permille > 0 {
-                return Err(RuntimeError::Config(
-                    "chaos stall injection requires SchedMode::Classic (a stalled inline \
-                     domain would wedge its whole bank partition)"
-                        .into(),
-                ));
-            }
-            chaos::install_quiet_hook();
-        }
-        let domains = options.shards.clamp(1, config.banks);
-        let trace = match &options.trace_path {
-            Some(path) => Some(Arc::new(
-                EventTrace::create(path).map_err(RuntimeError::Trace)?,
-            )),
-            None => None,
-        };
-        let cancels: CancelSet = Arc::new(Mutex::new(HashSet::new()));
-        let gate = Arc::new(Gate::new(options.start_paused));
-        let units = MemoryController::new(config.clone());
-        let unit_banks: Vec<usize> = (0..units.pim_unit_count())
-            .map(|i| units.pim_unit(i).bank)
-            .collect();
-        let injectors: Vec<Arc<JobQueue<Submission>>> = (0..domains)
-            .map(|_| Arc::new(JobQueue::new(options.queue_capacity)))
-            .collect();
-        let rings: Vec<Arc<Mutex<Vec<DoneMsg>>>> = (0..domains)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
-        let handles: Vec<JoinHandle<DomainOutput>> = (0..domains)
-            .map(|d| {
-                let ctx = DomainCtx {
-                    domain: d,
-                    domains,
-                    config: config.clone(),
-                    injectors: injectors.clone(),
-                    ring: Arc::clone(&rings[d]),
-                    gate: Arc::clone(&gate),
-                    trace: trace.clone(),
-                    canceller: Canceller::new(
-                        Arc::clone(&cancels),
-                        options.notify.clone(),
-                        trace.clone(),
-                    ),
-                    notify: options.notify.clone(),
-                    dispatch: options.dispatch,
-                    issue_policy: options.issue_policy,
-                    protection: options.protection,
-                    faults: options.faults.clone(),
-                    batch: options.batch,
-                    compile: options.compile,
-                    chaos,
-                    max_redispatch: options.health.max_redispatch,
-                    max_job_retries: options.supervise.max_job_retries,
-                };
-                std::thread::spawn(move || domain_loop(ctx))
-            })
-            .collect();
-        let compiler = Compiler::new(config.clone(), &options.compile);
-        let cache = options
-            .cache
-            .enabled
-            .then(|| ProgramCache::new(&options.cache));
-        Ok(Runtime {
-            queue: Arc::new(JobQueue::new(options.queue_capacity)),
-            config,
-            next_id: Arc::new(AtomicU64::new(0)),
-            next_res: AtomicU64::new(0),
-            scheduler: None,
-            supervisor: None,
-            done_rx: None,
-            worker_busy: Arc::new(Vec::new()),
-            par: Some(ParEngine {
-                domains,
-                dispatch: options.dispatch,
-                injectors,
-                rings,
-                handles,
-                route_cursor: AtomicUsize::new(0),
-                unit_banks,
-            }),
-            trace,
-            shards: domains,
-            protection: options.protection,
-            supervise: options.supervise,
-            poison: None,
             compiler,
             cache,
             cancels,
@@ -1868,10 +1081,7 @@ impl Runtime {
     /// depth *histograms* in [`RuntimeStats`] cover the same pressure
     /// retrospectively).
     pub fn queue_len(&self) -> usize {
-        match &self.par {
-            Some(par) => par.injectors.iter().map(|q| q.len()).sum(),
-            None => self.queue.len(),
-        }
+        self.queue.len()
     }
 
     /// Capacity of the bounded submission queue.
@@ -1959,15 +1169,9 @@ impl Runtime {
             placement,
             deadline,
         });
-        match &self.par {
-            Some(par) => par.injectors[par.route(placement)]
-                .push(sub)
-                .map_err(|_| RuntimeError::QueueClosed)?,
-            None => self
-                .queue
-                .push(sub)
-                .map_err(|_| RuntimeError::QueueClosed)?,
-        }
+        self.queue
+            .push(sub)
+            .map_err(|_| RuntimeError::QueueClosed)?;
         Ok(id)
     }
 
@@ -2013,10 +1217,7 @@ impl Runtime {
             placement,
             deadline,
         });
-        match &self.par {
-            Some(par) => par.injectors[par.route(placement)].try_push(sub)?,
-            None => self.queue.try_push(sub)?,
-        }
+        self.queue.try_push(sub)?;
         if let Some(trace) = &self.trace {
             trace.record(&Event::Submit { job: id });
             if cache_hit {
@@ -2050,13 +1251,6 @@ impl Runtime {
     /// or after its own position (dependencies must point backwards), or
     /// [`RuntimeError::QueueClosed`] after [`Runtime::finish`].
     pub fn submit_chain(&self, chain: Vec<ChainJob>) -> Result<Vec<u64>, RuntimeError> {
-        if self.par.is_some() {
-            return Err(RuntimeError::Config(
-                "dependency chains require SchedMode::Classic (cross-domain gates are \
-                 not sharded)"
-                    .into(),
-            ));
-        }
         for (i, member) in chain.iter().enumerate() {
             let bad = |what: &str, idx: usize| {
                 RuntimeError::Config(format!(
@@ -2131,13 +1325,6 @@ impl Runtime {
         placement: Placement,
         after: &[u64],
     ) -> Result<u64, RuntimeError> {
-        if self.par.is_some() {
-            return Err(RuntimeError::Config(
-                "submit_after requires SchedMode::Classic (cross-domain gates are not \
-                 sharded)"
-                    .into(),
-            ));
-        }
         let (program, cache_hit) = self.compile(&program).map_err(RuntimeError::Compile)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         for &d in after {
@@ -2189,13 +1376,6 @@ impl Runtime {
         program: PimProgram,
         unit_idx: usize,
     ) -> Result<ResidentPin, RuntimeError> {
-        if self.par.is_some() {
-            return Err(RuntimeError::Config(
-                "resident pins require SchedMode::Classic (residency is tracked by the \
-                 single scheduler)"
-                    .into(),
-            ));
-        }
         let res = self.next_res.fetch_add(1, Ordering::Relaxed);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if let Some(trace) = &self.trace {
@@ -2232,18 +1412,6 @@ impl Runtime {
     /// [`RuntimeError::WorkerLost`] if the scheduler thread itself
     /// panicked.
     pub fn finish(mut self) -> Result<RuntimeReport, RuntimeError> {
-        let drained = match self.par.take() {
-            Some(par) => self.drain_parallel(par)?,
-            None => self.drain_classic()?,
-        };
-        self.assemble_report(drained)
-    }
-
-    /// Classic drain: close the queue, join the single scheduler thread,
-    /// collect the done-channel stream (bounded when supervision is
-    /// dirty), and fold the scheduler's stage profile plus the per-worker
-    /// busy meters into [`SchedStats`].
-    fn drain_classic(&mut self) -> Result<DrainedSession, RuntimeError> {
         self.queue.close();
         // A paused runtime drains on finish: open the gate so the
         // scheduler can run the backlog down.
@@ -2255,18 +1423,15 @@ impl Runtime {
             .join()
             .map_err(|_| RuntimeError::WorkerLost)?;
 
-        let supervisor = self.supervisor.take().expect("classic mode");
         // Stop supervision: drop the factory and every live sender so
         // workers drain their channels and exit.
-        supervisor.close();
+        self.supervisor.close();
         let lost: HashSet<u64> = sched_out.lost.iter().copied().collect();
         let done_rx = self
             .done_rx
-            .take()
-            .expect("classic mode")
-            .into_inner()
+            .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stalled = supervisor.stalled_workers();
+        let stalled = self.supervisor.stalled_workers();
         let mut completions: Vec<DoneMsg> = if stalled == 0 && lost.is_empty() {
             // Every worker has exited (or exits as its channel drains):
             // the completion stream ends when the last sender drops.
@@ -2296,11 +1461,12 @@ impl Runtime {
             }
             collected
         };
-        drop(done_rx);
-        let workers_lost = supervisor.join_all(Instant::now() + self.supervise.drain_deadline());
+        let workers_lost = self
+            .supervisor
+            .join_all(Instant::now() + self.supervise.drain_deadline());
         completions.sort_by_key(|c| c.seq);
 
-        let (panics_caught, shard_restarts, shards_retired) = supervisor.counters();
+        let (panics_caught, shard_restarts, shards_retired) = self.supervisor.counters();
         let supervision = SupervisionStats {
             panics_caught,
             shard_restarts,
@@ -2308,13 +1474,15 @@ impl Runtime {
             workers_lost,
             ..sched_out.supervision
         };
+        self.assemble_report(sched_out, completions, supervision)
+    }
 
-        // Fold the loop's stage profile and the worker busy meters into
-        // the occupancy stats. The classic serial bottleneck is whichever
-        // is larger: the scheduler's own non-wait CPU, or the busiest
-        // worker. Pops are excluded — blocked waits are idleness, not
-        // work.
-        let p = &sched_out.profile;
+    /// Folds the scheduler loop's stage profile and the worker busy
+    /// meters into the occupancy stats. The serial bottleneck is
+    /// whichever is larger: the scheduler's own non-wait CPU, or the
+    /// busiest worker. Pops are excluded — blocked waits are idleness,
+    /// not work.
+    fn sched_stats(&self, p: &SchedProfile) -> SchedStats {
         let worker_busy: Vec<u64> = self
             .worker_busy
             .iter()
@@ -2332,13 +1500,10 @@ impl Runtime {
                 domain: s,
                 issued: p.per_shard_issued.get(s).copied().unwrap_or(0),
                 jobs: p.per_shard_jobs.get(s).copied().unwrap_or(0),
-                steals: 0,
                 busy_micros: worker_busy.get(s).copied().unwrap_or(0),
-                ring_peak: 0,
             })
             .collect();
-        let sched_stats = SchedStats {
-            mode: "classic".into(),
+        SchedStats {
             domains: self.shards,
             pop_micros: p.pop_micros,
             admit_micros: p.admit_micros,
@@ -2352,115 +1517,19 @@ impl Runtime {
             } else {
                 0.0
             },
-            steals: 0,
             per_domain,
-        };
-        Ok(DrainedSession {
-            sched_out,
-            completions,
-            supervision,
-            sched_stats,
-        })
+        }
     }
 
-    /// Parallel drain: close every injector, join the domain threads,
-    /// merge their completion rings into one seq-ordered stream, and sum
-    /// their counters — the merged-accounting step that lets the shared
-    /// replay treat a sharded session exactly like a classic one.
-    fn drain_parallel(&mut self, par: ParEngine) -> Result<DrainedSession, RuntimeError> {
-        for injector in &par.injectors {
-            injector.close();
-        }
-        self.gate.open();
-        let mut outs: Vec<DomainOutput> = Vec::with_capacity(par.handles.len());
-        for handle in par.handles {
-            outs.push(handle.join().map_err(|_| RuntimeError::WorkerLost)?);
-        }
-        let mut completions: Vec<DoneMsg> = Vec::new();
-        for ring in &par.rings {
-            completions.append(&mut sync::lock(ring));
-        }
-        // Domain seqs are strided (`seq ≡ domain (mod domains)`), so a
-        // plain sort restores one globally consistent issue order.
-        completions.sort_by_key(|c| c.seq);
-
-        let mut sched_out = SchedulerOutput::default();
-        let mut supervision = SupervisionStats::default();
-        let mut per_domain: Vec<DomainStats> = Vec::with_capacity(outs.len());
-        let (mut busy_max, mut wall_max) = (0u64, 0u64);
-        let mut stage = [0u64; 5];
-        let mut steals = 0u64;
-        for o in &outs {
-            sched_out.depth_hist.merge(&o.depth_hist);
-            sched_out.issued += o.issued;
-            sched_out.batches += o.batches;
-            sched_out.batched_jobs += o.batched_jobs;
-            sched_out.splice_hits += o.splice_hits;
-            sched_out.splice_misses += o.splice_misses;
-            sched_out.cancelled += o.cancelled;
-            sched_out.expired += o.expired;
-            sched_out.redispatches += o.redispatches;
-            sched_out.cascaded += o.dropped;
-            supervision.panics_caught += o.panics;
-            supervision.crash_redispatches += o.crash_redispatches;
-            supervision.abandoned_jobs += o.abandoned_jobs;
-            stage[0] += o.pop_micros;
-            stage[1] += o.admit_micros;
-            stage[2] += o.place_micros;
-            stage[3] += o.dispatch_micros;
-            stage[4] += o.ack_micros;
-            steals += o.steals;
-            busy_max = busy_max.max(o.busy_micros);
-            wall_max = wall_max.max(o.wall_micros);
-            per_domain.push(DomainStats {
-                domain: o.domain,
-                issued: o.issued,
-                jobs: o.jobs_done,
-                steals: o.steals,
-                busy_micros: o.busy_micros,
-                ring_peak: o.ring_peak,
-            });
-        }
-        let sched_stats = SchedStats {
-            mode: "parallel".into(),
-            domains: par.domains,
-            pop_micros: stage[0],
-            admit_micros: stage[1],
-            place_micros: stage[2],
-            dispatch_micros: stage[3],
-            ack_micros: stage[4],
-            // The serial bottleneck is the busiest domain's CPU time;
-            // occupancy is that domain's busy share of its own wall.
-            busy_micros: busy_max,
-            wall_micros: wall_max,
-            occupancy_pct: if wall_max > 0 {
-                busy_max as f64 / wall_max as f64 * 100.0
-            } else {
-                0.0
-            },
-            steals,
-            per_domain,
-        };
-        Ok(DrainedSession {
-            sched_out,
-            completions,
-            supervision,
-            sched_stats,
-        })
-    }
-
-    /// Engine-agnostic report assembly: replays the merged completion
-    /// stream through one [`MemoryController`] and builds the final
-    /// stats. Both scheduling engines end here, which is what keeps
-    /// their accounting identical.
-    fn assemble_report(self, drained: DrainedSession) -> Result<RuntimeReport, RuntimeError> {
-        let DrainedSession {
-            sched_out,
-            completions,
-            supervision,
-            sched_stats,
-        } = drained;
-
+    /// Replays the seq-ordered completion stream through one
+    /// [`MemoryController`] and builds the final report.
+    fn assemble_report(
+        self,
+        sched_out: SchedulerOutput,
+        completions: Vec<DoneMsg>,
+        supervision: SupervisionStats,
+    ) -> Result<RuntimeReport, RuntimeError> {
+        let sched_stats = self.sched_stats(&sched_out.profile);
         // Timing accounting: replay every instruction's measured device
         // cost through one MemoryController in issue order — the same
         // accounting a sequential dispatcher would produce, so bank
@@ -3429,7 +2498,7 @@ impl ClassicSched<'_> {
     }
 }
 
-/// The classic engine's scheduler loop: drains the submission queue,
+/// The scheduler loop: drains the submission queue,
 /// places jobs in the paper's circular-bank order (§V-C), issues them to
 /// the worker shards, and interleaves worker-ack processing so
 /// dependency gates, bank health, re-dispatch, and shard recovery all

@@ -79,13 +79,6 @@ pub enum JobNotice {
     /// clone to drop (a stalled, detached worker can hold one
     /// indefinitely).
     Drained,
-    /// Several notices delivered as one channel send. The parallel
-    /// scheduling engine coalesces every member notice of a batched
-    /// dispatch into one `Batch` so the notify channel is crossed once
-    /// per dispatch, not once per member. Consumers must flatten:
-    /// treat each inner notice exactly as if it had arrived alone
-    /// (inner batches never nest).
-    Batch(Vec<JobNotice>),
 }
 
 impl JobNotice {
@@ -98,8 +91,6 @@ impl JobNotice {
             | JobNotice::Expired { job_id }
             | JobNotice::Abandoned { job_id, .. } => *job_id,
             JobNotice::Drained => u64::MAX,
-            // A batch concerns several jobs; report the first member's.
-            JobNotice::Batch(inner) => inner.first().map_or(u64::MAX, JobNotice::job_id),
         }
     }
 
@@ -121,8 +112,6 @@ impl JobNotice {
                 max_redispatch,
                 ..
             } => *verified || !protection_active || attempt >= max_redispatch,
-            // Finality is per inner notice; consumers flatten first.
-            JobNotice::Batch(inner) => inner.iter().any(JobNotice::is_final),
         }
     }
 }

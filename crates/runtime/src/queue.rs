@@ -53,7 +53,7 @@ pub enum PushError {
     },
 }
 
-/// The outcome of a [`JobQueue::pop_timeout`].
+/// The outcome of a [`JobQueue::pop_kicked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pop<T> {
     /// An item was dequeued.
@@ -165,28 +165,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Dequeues with a bounded wait: blocks at most `timeout` while the
-    /// queue is empty. Parallel-engine domains use this to interleave
-    /// queue draining with their own work without busy-spinning.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.state();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.space.notify_one();
-                return Pop::Item(item);
-            }
-            if state.closed {
-                return Pop::Closed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Pop::Timeout;
-            }
-            state = sync::wait_timeout(&self.items, state, deadline - now);
-        }
-    }
-
     /// The current kick count. Snapshot this *before* processing
     /// external events (worker acks), then pass it to
     /// [`JobQueue::pop_kicked`]: any kick after the snapshot wakes the
@@ -207,10 +185,10 @@ impl<T> JobQueue<T> {
         self.items.notify_all();
     }
 
-    /// Like [`JobQueue::pop_timeout`], but also returns (with
-    /// [`Pop::Timeout`]) as soon as the kick count moves past
-    /// `seen_kicks` — the event-driven wait that replaces fixed-interval
-    /// polling in the scheduler loop.
+    /// Dequeues with a bounded wait: blocks at most `timeout` while the
+    /// queue is empty, but also returns (with [`Pop::Timeout`]) as soon
+    /// as the kick count moves past `seen_kicks` — the event-driven wait
+    /// that replaces fixed-interval polling in the scheduler loop.
     pub fn pop_kicked(&self, timeout: Duration, seen_kicks: u64) -> Pop<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state();
@@ -231,39 +209,6 @@ impl<T> JobQueue<T> {
             }
             state = sync::wait_timeout(&self.items, state, deadline - now);
         }
-    }
-
-    /// Removes up to `max` queued items matching `pred` (front first,
-    /// preserving the relative order of everything left behind) and
-    /// appends them to `into`. Returns how many were taken. The parallel
-    /// scheduler's work-stealing uses this to lift steal-eligible
-    /// submissions out of a sibling domain's injector without disturbing
-    /// pinned work.
-    pub fn steal_matching<F: Fn(&T) -> bool>(
-        &self,
-        pred: F,
-        max: usize,
-        into: &mut Vec<T>,
-    ) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut state = self.state();
-        let mut taken = 0;
-        let mut idx = 0;
-        while idx < state.items.len() && taken < max {
-            if pred(&state.items[idx]) {
-                let item = state.items.remove(idx).expect("index bounds checked");
-                into.push(item);
-                taken += 1;
-            } else {
-                idx += 1;
-            }
-        }
-        if taken > 0 {
-            self.space.notify_all();
-        }
-        taken
     }
 
     /// Dequeues every job currently available without blocking (the
@@ -343,22 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_times_out_then_delivers() {
+    fn pop_kicked_times_out_then_delivers() {
         let q: JobQueue<u32> = JobQueue::new(4);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Timeout);
+        let seen = q.kicks();
+        assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Timeout);
         q.push(9).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Item(9));
+        assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Item(9));
         q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Closed);
+        assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Closed);
     }
 
     #[test]
-    fn pop_timeout_drains_before_reporting_closed() {
+    fn pop_kicked_drains_before_reporting_closed() {
         let q = JobQueue::new(4);
         q.push(1).unwrap();
         q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Item(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Closed);
+        let seen = q.kicks();
+        assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Item(1));
+        assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Closed);
     }
 
     #[test]
@@ -395,25 +342,6 @@ mod tests {
         assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Item(7));
         q.close();
         assert_eq!(q.pop_kicked(Duration::from_millis(5), seen), Pop::Closed);
-    }
-
-    #[test]
-    fn steal_matching_takes_only_matching_items_in_order() {
-        let q = JobQueue::new(8);
-        for i in 0..6 {
-            q.push(i).unwrap();
-        }
-        let mut stolen = Vec::new();
-        // Steal up to 2 even items: 0 and 2, leaving order intact.
-        assert_eq!(q.steal_matching(|v| v % 2 == 0, 2, &mut stolen), 2);
-        assert_eq!(stolen, vec![0, 2]);
-        let mut rest = Vec::new();
-        q.drain_ready(&mut rest);
-        assert_eq!(rest, vec![1, 3, 4, 5]);
-        // Nothing matching, nothing taken.
-        q.push(9).unwrap();
-        assert_eq!(q.steal_matching(|v| *v == 100, 4, &mut stolen), 0);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

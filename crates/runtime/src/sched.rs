@@ -115,9 +115,6 @@ pub struct BankScheduler {
     cursor: usize,
     /// Next issue sequence number.
     next_seq: u64,
-    /// Gap between successive sequence numbers (1 for the classic
-    /// global scheduler; the domain count for a parallel domain).
-    seq_stride: u64,
     /// Queue depth observed at each enqueue.
     depth_hist: Histogram,
     pending: usize,
@@ -128,21 +125,10 @@ pub struct BankScheduler {
 impl BankScheduler {
     /// Creates a scheduler over `banks` bank queues.
     pub fn new(banks: usize) -> BankScheduler {
-        BankScheduler::with_seq_stride(banks, 0, 1)
-    }
-
-    /// Creates a scheduler whose issue sequence numbers start at `start`
-    /// and advance by `stride`. The parallel engine gives domain `d` of
-    /// `S` the stream `d, d+S, d+2S, …` so sequence numbers stay
-    /// globally unique without a shared counter, and the merged drain
-    /// can order completions by `seq` alone.
-    pub fn with_seq_stride(banks: usize, start: u64, stride: u64) -> BankScheduler {
-        assert!(stride > 0, "seq stride must be positive");
         BankScheduler {
             fifos: (0..banks).map(|_| VecDeque::new()).collect(),
             cursor: 0,
-            next_seq: start,
-            seq_stride: stride,
+            next_seq: 0,
             depth_hist: Histogram::new(),
             pending: 0,
             policy: IssuePolicy::Fifo,
@@ -213,7 +199,7 @@ impl BankScheduler {
                 self.cursor = (bank + 1) % banks;
                 self.pending -= 1;
                 let seq = self.next_seq;
-                self.next_seq += self.seq_stride;
+                self.next_seq += 1;
                 return Some(IssuedJob { seq, job, bank });
             }
         }
@@ -253,7 +239,7 @@ impl BankScheduler {
             self.cursor = (bank + 1) % banks;
             self.pending -= 1;
             let seq = self.next_seq;
-            self.next_seq += self.seq_stride;
+            self.next_seq += 1;
             let unit = job_unit(&first);
             let mut jobs = vec![first];
             if unit.is_some() {
@@ -408,21 +394,6 @@ mod tests {
         // Once ungated, bank 0's job issues with the next dense seq.
         let second = s.issue_next().unwrap();
         assert_eq!((second.job.id, second.bank, second.seq), (0, 0, 1));
-    }
-
-    #[test]
-    fn strided_seqs_are_disjoint_across_domains() {
-        // Two domains with stride 2: evens and odds, no collisions.
-        let mut a = BankScheduler::with_seq_stride(2, 0, 2);
-        let mut b = BankScheduler::with_seq_stride(2, 1, 2);
-        for id in 0..4 {
-            a.enqueue(job(id), (id % 2) as usize);
-            b.enqueue(job(10 + id), (id % 2) as usize);
-        }
-        let sa: Vec<u64> = a.issue_all().iter().map(|i| i.seq).collect();
-        let sb: Vec<u64> = b.issue_all().iter().map(|i| i.seq).collect();
-        assert_eq!(sa, vec![0, 2, 4, 6]);
-        assert_eq!(sb, vec![1, 3, 5, 7]);
     }
 
     #[test]

@@ -57,20 +57,6 @@ impl Histogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Folds another histogram into this one bucket-wise (used to merge
-    /// per-domain histograms into the session roll-up).
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// One bank's share of a run.
@@ -151,30 +137,21 @@ pub struct PipelineStats {
     pub rematerializations: u64,
 }
 
-/// One scheduler domain's share of a session.
-///
-/// Under [`SchedMode::Classic`](crate::SchedMode) a "domain" is one
-/// worker shard (the single scheduler thread does all placement); under
-/// [`SchedMode::Parallel`](crate::SchedMode) it is one fused
-/// scheduler+executor domain owning `bank % domains == d` banks.
+/// One worker shard's share of a session. The shard owns the banks
+/// `bank % shards == domain`; the single scheduler thread does all
+/// placement and issue.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DomainStats {
-    /// Domain (shard) index.
+    /// Shard index.
     pub domain: usize,
-    /// Dispatches this domain issued (batched dispatches count once).
+    /// Dispatches issued to this shard (batched dispatches count once).
     pub issued: u64,
-    /// Member jobs this domain completed.
+    /// Member jobs issued to this shard.
     pub jobs: u64,
-    /// Submissions this domain stole from sibling injectors (parallel
-    /// mode only).
-    pub steals: u64,
-    /// Wall-clock microseconds the domain's thread spent working (not
+    /// Thread-CPU microseconds the shard's worker spent executing (not
     /// waiting). This is the denominator of the scheduler-capacity
     /// metric the bench harness reports.
     pub busy_micros: u64,
-    /// Deepest the domain's completion ring got before a drain
-    /// (parallel mode only).
-    pub ring_peak: u64,
 }
 
 /// The scheduler-occupancy profile of a session: where the scheduling
@@ -184,13 +161,10 @@ pub struct DomainStats {
 /// otherwise identical runs will report different micros. Consumers that
 /// compare reports for determinism should compare the modeled fields of
 /// [`RuntimeStats`] and ignore `sched`, or compare only the counter
-/// fields (`steals`, `per_domain[].issued`/`jobs`).
+/// fields (`per_domain[].issued`/`jobs`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedStats {
-    /// Which scheduling engine ran: `"classic"` or `"parallel"`.
-    pub mode: String,
-    /// Scheduler domains (1 for classic's single loop; the shard count
-    /// for parallel).
+    /// Worker shards (the length of `per_domain`).
     pub domains: usize,
     /// Microseconds the scheduler spent popping the submission queue.
     pub pop_micros: u64,
@@ -204,18 +178,15 @@ pub struct SchedStats {
     /// Microseconds spent draining and applying completion acks.
     pub ack_micros: u64,
     /// Busy microseconds of the busiest single thread (scheduler or any
-    /// worker/domain) — the serial bottleneck a scaling claim is made
+    /// worker) — the serial bottleneck a scaling claim is made
     /// against.
     pub busy_micros: u64,
-    /// Wall-clock microseconds the scheduling engine was live.
+    /// Wall-clock microseconds the scheduler loop was live.
     pub wall_micros: u64,
-    /// Busy fraction of the busiest thread over the engine's lifetime,
+    /// Busy fraction of the busiest thread over the loop's lifetime,
     /// `0.0..=100.0`.
     pub occupancy_pct: f64,
-    /// Submissions moved between domains by work-stealing (parallel
-    /// mode only).
-    pub steals: u64,
-    /// Per-domain breakdown, in domain order.
+    /// Per-shard breakdown, in shard order.
     pub per_domain: Vec<DomainStats>,
 }
 

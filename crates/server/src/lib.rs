@@ -327,82 +327,71 @@ impl Shared {
 /// supervision, where a permanently stalled worker may never drop its
 /// sender.
 fn router_loop(shared: &Shared, rx: &mpsc::Receiver<JobNotice>, chaos: Option<ChaosPlan>) {
-    'recv: for notice in rx.iter() {
-        // Flatten batched notices (the parallel scheduling engine
-        // coalesces every member of a dispatch into one channel send);
-        // each inner notice is handled exactly as if it arrived alone.
-        let flattened = match notice {
-            JobNotice::Batch(inner) => inner,
-            single => vec![single],
-        };
-        for notice in flattened {
-            if let Some(plan) = chaos {
-                let key = (notice.job_id(), 0);
-                if let ChaosAction::Delay = plan.decide(CrossingPoint::RouterNotice, key.0, key.1) {
-                    std::thread::sleep(Duration::from_micros(plan.delay_us));
-                }
+    for notice in rx.iter() {
+        if let Some(plan) = chaos {
+            let key = (notice.job_id(), 0);
+            if let ChaosAction::Delay = plan.decide(CrossingPoint::RouterNotice, key.0, key.1) {
+                std::thread::sleep(Duration::from_micros(plan.delay_us));
             }
-            if !notice.is_final() {
-                // A superseded attempt under an active protection policy;
-                // the re-dispatched attempt (or the drain fallback) resolves
-                // the handle.
-                continue;
+        }
+        if !notice.is_final() {
+            // A superseded attempt under an active protection policy;
+            // the re-dispatched attempt (or the drain fallback) resolves
+            // the handle.
+            continue;
+        }
+        match notice {
+            JobNotice::Attempt {
+                job_id,
+                attempt,
+                bank,
+                batch,
+                outputs,
+                error,
+                verified,
+                ..
+            } => {
+                let completion = match error {
+                    Some(e) => Err(ServeError::Exec(e)),
+                    None => Ok(JobDone {
+                        job_id,
+                        outputs,
+                        bank,
+                        attempt,
+                        batch,
+                        verified,
+                    }),
+                };
+                shared.route(job_id, completion);
             }
-            match notice {
-                JobNotice::Attempt {
-                    job_id,
-                    attempt,
-                    bank,
-                    batch,
-                    outputs,
-                    error,
-                    verified,
-                    ..
-                } => {
-                    let completion = match error {
-                        Some(e) => Err(ServeError::Exec(e)),
-                        None => Ok(JobDone {
-                            job_id,
-                            outputs,
-                            bank,
-                            attempt,
-                            batch,
-                            verified,
-                        }),
-                    };
-                    shared.route(job_id, completion);
-                }
-                JobNotice::Expired { job_id } => {
-                    // The scheduler found the job past its deadline at
-                    // issue time and dropped it before any bank saw it.
-                    shared.route(job_id, Err(ServeError::Expired));
-                }
-                JobNotice::Cancelled { job_id } => {
-                    let expired = {
-                        let mut reg = sync::lock(&shared.registry);
-                        // Claim the intent only if this notice will win the
-                        // route (a resolved job's late cancel is moot).
-                        !reg.resolved.contains(&job_id) && reg.expire_intent.remove(&job_id)
-                    };
-                    let completion = if expired {
-                        Err(ServeError::Expired)
-                    } else {
-                        Err(ServeError::Cancelled)
-                    };
-                    shared.route(job_id, completion);
-                }
-                JobNotice::Abandoned { job_id, hung } => {
-                    let completion = Err(if hung {
-                        ServeError::Hung
-                    } else {
-                        ServeError::Crashed
-                    });
-                    shared.route(job_id, completion);
-                }
-                JobNotice::Drained => break 'recv,
-                // Batches never nest; the outer flattening consumed them.
-                JobNotice::Batch(_) => {}
+            JobNotice::Expired { job_id } => {
+                // The scheduler found the job past its deadline at
+                // issue time and dropped it before any bank saw it.
+                shared.route(job_id, Err(ServeError::Expired));
             }
+            JobNotice::Cancelled { job_id } => {
+                let expired = {
+                    let mut reg = sync::lock(&shared.registry);
+                    // Claim the intent only if this notice will win the
+                    // route (a resolved job's late cancel is moot).
+                    !reg.resolved.contains(&job_id) && reg.expire_intent.remove(&job_id)
+                };
+                let completion = if expired {
+                    Err(ServeError::Expired)
+                } else {
+                    Err(ServeError::Cancelled)
+                };
+                shared.route(job_id, completion);
+            }
+            JobNotice::Abandoned { job_id, hung } => {
+                let completion = Err(if hung {
+                    ServeError::Hung
+                } else {
+                    ServeError::Crashed
+                });
+                shared.route(job_id, completion);
+            }
+            JobNotice::Drained => break,
         }
     }
 }

@@ -66,9 +66,9 @@ impl ServerStats {
             + self.rejected_poison
     }
 
-    /// The wrapped session's scheduler-occupancy profile: engine mode,
-    /// per-stage micros, work-steal counts, and per-domain breakdowns
-    /// (ring depths included). Serialized with the rest of the stats, so
+    /// The wrapped session's scheduler-occupancy profile: per-stage
+    /// micros and per-shard breakdowns. Serialized with the rest of the
+    /// stats, so
     /// an operator dashboard reads it straight off the shutdown JSON.
     pub fn sched(&self) -> &SchedStats {
         &self.runtime.sched
@@ -174,7 +174,6 @@ mod tests {
     fn sched_profile_round_trips_through_json() {
         use coruscant_runtime::DomainStats;
         let sched = SchedStats {
-            mode: "parallel".into(),
             domains: 2,
             pop_micros: 11,
             admit_micros: 22,
@@ -184,23 +183,18 @@ mod tests {
             busy_micros: 120,
             wall_micros: 300,
             occupancy_pct: 40.0,
-            steals: 7,
             per_domain: vec![
                 DomainStats {
                     domain: 0,
                     issued: 10,
                     jobs: 12,
-                    steals: 7,
                     busy_micros: 120,
-                    ring_peak: 3,
                 },
                 DomainStats {
                     domain: 1,
                     issued: 8,
                     jobs: 8,
-                    steals: 0,
                     busy_micros: 90,
-                    ring_peak: 2,
                 },
             ],
         };
@@ -209,16 +203,15 @@ mod tests {
         assert_eq!(back, sched);
         // The fields an occupancy dashboard keys on survive the trip.
         assert!(json.contains("\"occupancy_pct\""));
-        assert!(json.contains("\"ring_peak\""));
-        assert!(json.contains("\"steals\""));
+        assert!(json.contains("\"per_domain\""));
     }
 
     #[test]
-    fn drained_parallel_server_surfaces_its_sched_profile() {
+    fn drained_server_surfaces_its_sched_profile() {
         use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
         use coruscant_core::program::{PimProgram, Step};
         use coruscant_mem::{DbcLocation, MemoryConfig, RowAddress};
-        use coruscant_runtime::{RuntimeOptions, SchedMode};
+        use coruscant_runtime::RuntimeOptions;
 
         let loc = DbcLocation::new(0, 0, 0, 0);
         let program = PimProgram {
@@ -253,13 +246,11 @@ mod tests {
         let server = crate::Server::start(
             MemoryConfig::tiny(),
             crate::ServerOptions {
-                runtime: RuntimeOptions::default()
-                    .with_shards(2)
-                    .with_sched_mode(SchedMode::Parallel),
+                runtime: RuntimeOptions::default().with_shards(2),
                 ..crate::ServerOptions::default()
             },
         )
-        .expect("parallel server starts");
+        .expect("server starts");
         let client = server.client();
         let handles: Vec<_> = (0..16)
             .map(|_| client.submit(program.clone()).expect("accepted"))
@@ -270,7 +261,6 @@ mod tests {
         let stats = server.shutdown().expect("drains");
         assert!(stats.balanced(), "{stats:?}");
         let sched = stats.sched();
-        assert_eq!(sched.mode, "parallel");
         assert_eq!(sched.domains, 2);
         assert_eq!(
             sched.per_domain.iter().map(|d| d.jobs).sum::<u64>(),

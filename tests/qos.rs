@@ -1,15 +1,15 @@
 //! Deadline-aware scheduling end to end: EDF-off bit-identity (the QoS
-//! machinery must be invisible when disabled), EDF issue ordering, and
-//! the stalled-scheduler expiry regression in every engine.
+//! machinery must be invisible when disabled) at every shard count, EDF
+//! issue ordering, and the stalled-scheduler expiry regression in plain
+//! and resilient sessions.
 
 use coruscant::core::program::PimProgram;
 use coruscant::mem::MemoryConfig;
 use coruscant::runtime::{
-    IssuePolicy, Placement, Runtime, RuntimeOptions, RuntimeReport, RuntimeStats, SchedMode,
-    SchedStats, WatchdogOptions,
+    IssuePolicy, Placement, Runtime, RuntimeOptions, RuntimeReport, RuntimeStats, SchedStats,
+    WatchdogOptions,
 };
 use coruscant::workloads::serve::all_workload_programs;
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 fn eight_bank_config() -> MemoryConfig {
@@ -45,7 +45,7 @@ enum Deadlines {
 }
 
 /// Runs one paused-start session: every submission is staged before the
-/// scheduler gate opens, so classic-engine issue order is deterministic
+/// scheduler gate opens, so issue order is deterministic
 /// and two sessions with the same effective policy compare bit-exactly.
 fn run_staged(
     mut options: RuntimeOptions,
@@ -79,19 +79,10 @@ fn modeled(stats: &RuntimeStats) -> RuntimeStats {
     stats
 }
 
-fn outputs_by_job(report: &RuntimeReport) -> BTreeMap<u64, Vec<(String, Vec<u64>)>> {
-    report
-        .outcomes
-        .iter()
-        .map(|o| (o.job_id, o.outputs.clone()))
-        .collect()
-}
-
-/// Classic engine: with the policy off (FIFO) the whole QoS layer must
-/// be invisible — a FIFO session whose jobs carry generous deadlines,
-/// and an EDF session whose jobs carry none, both reproduce the
-/// baseline *full* outcome stream (seqs, banks, and modeled times
-/// included), bit for bit.
+/// With the policy off (FIFO) the whole QoS layer must be invisible — a
+/// FIFO session whose jobs carry generous deadlines, and an EDF session
+/// whose jobs carry none, both reproduce the baseline *full* outcome
+/// stream (seqs, banks, and modeled times included), bit for bit.
 #[test]
 fn classic_fifo_bit_identical_with_qos_machinery_engaged() {
     let programs = corpus(3);
@@ -114,38 +105,46 @@ fn classic_fifo_bit_identical_with_qos_machinery_engaged() {
     assert_eq!(modeled(&edf_none.stats), modeled(&baseline.stats));
 }
 
-/// Parallel engine, every shard count: same invisibility requirement,
-/// compared on the placement-independent outcome map (work stealing
-/// makes seqs and banks legitimately nondeterministic).
+/// Sessions sharded across parallel scheduler threads, every shard
+/// count: the same invisibility requirement, held to the *full*
+/// outcome stream. The single-engine scheduler is deterministic at any
+/// shard count, so the sharded baseline must also equal the one-shard
+/// reference bit for bit.
 #[test]
 fn parallel_fifo_outcomes_unchanged_by_qos_machinery() {
     let programs = corpus(3);
-    let baseline = run_staged(RuntimeOptions::default(), &programs, Deadlines::None);
-    let want = outputs_by_job(&baseline);
+    let reference = run_staged(RuntimeOptions::default(), &programs, Deadlines::None);
+    assert_eq!(reference.outcomes.len(), programs.len());
     for shards in [1usize, 2, 4, 8] {
-        let par = |policy: IssuePolicy, deadlines: Deadlines| {
-            run_staged(
-                RuntimeOptions::default()
-                    .with_shards(shards)
-                    .with_sched_mode(SchedMode::Parallel)
-                    .with_issue_policy(policy),
-                &programs,
-                deadlines,
-            )
-        };
-        let fifo_due = par(IssuePolicy::Fifo, Deadlines::Generous);
+        let options = || RuntimeOptions::default().with_shards(shards);
+        let baseline = run_staged(options(), &programs, Deadlines::None);
         assert_eq!(
-            outputs_by_job(&fifo_due),
-            want,
+            baseline.outcomes, reference.outcomes,
+            "shards={shards}: baseline differs across shard counts"
+        );
+
+        // Deadlines present, policy off: the expiry scan sees every job
+        // but drops none, and FIFO order is untouched.
+        let fifo_due = run_staged(options(), &programs, Deadlines::Generous);
+        assert_eq!(
+            fifo_due.outcomes, baseline.outcomes,
             "shards={shards}: generous deadlines changed FIFO outcomes"
         );
         assert_eq!(fifo_due.stats.expired, 0);
-        let edf_none = par(IssuePolicy::Edf, Deadlines::None);
+        assert_eq!(modeled(&fifo_due.stats), modeled(&baseline.stats));
+
+        // EDF enabled, no deadlines: every job sorts to the FIFO
+        // position.
+        let edf_none = run_staged(
+            options().with_issue_policy(IssuePolicy::Edf),
+            &programs,
+            Deadlines::None,
+        );
         assert_eq!(
-            outputs_by_job(&edf_none),
-            want,
+            edf_none.outcomes, baseline.outcomes,
             "shards={shards}: deadline-free EDF changed outcomes"
         );
+        assert_eq!(modeled(&edf_none.stats), modeled(&baseline.stats));
     }
 }
 
@@ -189,13 +188,13 @@ fn edf_issues_earliest_deadline_first() {
 }
 
 /// The stalled-scheduler regression: jobs whose deadline passes while
-/// the scheduler gate is closed are dropped at issue time in *every*
-/// engine — no bank ever sees them, the report carries no outcome, and
-/// `RuntimeStats::expired` accounts for each one.
+/// the scheduler gate is closed are dropped at issue time in plain and
+/// resilient sessions alike — no bank ever sees them, the report carries
+/// no outcome, and `RuntimeStats::expired` accounts for each one.
 #[test]
 fn stalled_scheduler_expires_overdue_jobs_in_every_engine() {
     const JOBS: u64 = 5;
-    let configs: [(&str, RuntimeOptions); 3] = [
+    let configs: [(&str, RuntimeOptions); 2] = [
         ("classic", RuntimeOptions::default()),
         (
             // The watchdog routes scheduling through the resilient
@@ -205,12 +204,6 @@ fn stalled_scheduler_expires_overdue_jobs_in_every_engine() {
                 enabled: true,
                 ..WatchdogOptions::default()
             }),
-        ),
-        (
-            "parallel",
-            RuntimeOptions::default()
-                .with_shards(2)
-                .with_sched_mode(SchedMode::Parallel),
         ),
     ];
     let programs = corpus(1);
